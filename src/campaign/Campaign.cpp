@@ -155,6 +155,34 @@ IncumbentStore::snapshot() const {
   return Entries;
 }
 
+std::vector<size_t>
+ramloc::interleaveSolveGroups(const std::vector<JobSpec> &Jobs,
+                              const std::vector<std::vector<size_t>> &Groups) {
+  std::vector<std::vector<size_t>> Buckets;
+  std::unordered_map<std::string, size_t> BucketOf;
+  for (size_t G = 0; G != Groups.size(); ++G) {
+    const JobSpec &J = Jobs[Groups[G].front()];
+    // A group that never simulates waits for no profile: it is a bucket
+    // of its own, so it keeps its expansion-order place.
+    bool Simulates =
+        J.Kind == JobKind::Measure || J.Freq == FreqMode::Profiled;
+    std::string Image = Simulates ? J.Benchmark + "|" + optLevelName(J.Level) +
+                                        "|" + formatString("r%u", J.Repeat)
+                                  : J.solveGroupKey();
+    auto [It, New] = BucketOf.emplace(std::move(Image), Buckets.size());
+    if (New)
+      Buckets.emplace_back();
+    Buckets[It->second].push_back(G);
+  }
+  std::vector<size_t> Order;
+  Order.reserve(Groups.size());
+  for (size_t Rank = 0; Order.size() != Groups.size(); ++Rank)
+    for (const std::vector<size_t> &Bucket : Buckets)
+      if (Rank < Bucket.size())
+        Order.push_back(Bucket[Rank]);
+  return Order;
+}
+
 std::pair<size_t, size_t> ramloc::shardRange(size_t Total, unsigned Index,
                                              unsigned Count) {
   if (Count == 0 || Index == 0 || Index > Count)
@@ -484,7 +512,8 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
   // Group jobs by execution key: every job shares one ProfileCache, so
   // grid points that execute the same image (the device axis, typically)
   // fan out over a single simulation. The cache's compute-once semantics
-  // keep the grouping exact under any worker interleaving.
+  // keep the grouping exact under any worker interleaving; the submission
+  // order below keeps workers from queueing up behind one simulation.
   ProfileCache CampaignProfiles;
   ProfileCache *Profiles =
       Opts.Profiles ? Opts.Profiles
@@ -519,12 +548,24 @@ CampaignResult ramloc::runCampaign(const std::vector<JobSpec> &Jobs,
                                     : std::thread::hardware_concurrency();
   {
     JobQueue Pool(Workers);
+    // A worker whose profile is still being simulated on another thread
+    // runs another queued group meanwhile instead of blocking
+    // (ProfileCache::acquire re-checks its key after each one and caps
+    // the nesting at one helped group per thread).
+    Counter &Helped = Reg.counter("campaign.sched.helped");
+    const ProfileCache::Helper Help = [&Pool, &Helped] {
+      if (!Pool.runQueued())
+        return false;
+      Helped.add();
+      return true;
+    };
     std::mutex ProgressMu;
     unsigned Done = 0;
-    for (const std::vector<size_t> &Group : Groups)
-      Pool.submit([&, Group] {
+    for (size_t G : interleaveSolveGroups(Jobs, Groups))
+      Pool.submit([&, G] {
+        ProfileCache::HelpScope Scope(Help);
         runSolveGroup(
-            Jobs, Group, JobBase, CR.Results,
+            Jobs, Groups[G], JobBase, CR.Results,
             [&](size_t I) {
               if (Opts.Progress || Opts.Journal) {
                 std::lock_guard<std::mutex> Lock(ProgressMu);

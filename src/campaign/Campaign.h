@@ -24,7 +24,11 @@
 /// by recosting that profile in O(#instructions). The cache's
 /// compute-once semantics make the grouping scheduler-independent, so a
 /// 1-benchmark x N-device grid performs exactly one full simulation per
-/// distinct image however many workers run.
+/// distinct image however many workers run. So that the device axis does
+/// not queue up behind one simulation, groups are submitted interleaved
+/// across images (interleaveSolveGroups), and a worker that reaches a
+/// profile still being simulated runs another queued group meanwhile
+/// (ProfileCache::HelpScope, JobQueue::runQueued).
 ///
 /// The optimizer gets the same treatment on the knob axis: jobs that
 /// share everything but Xlimit/Rspare form a *solve group*. A group runs
@@ -355,6 +359,22 @@ CampaignSummary computeSummary(const std::vector<JobResult> &Results);
 /// shards (Index == 0 or Index > Count) yield an empty range.
 std::pair<size_t, size_t> shardRange(size_t Total, unsigned Index,
                                      unsigned Count);
+
+/// The order runCampaign submits solve groups in, as a permutation of
+/// group indices. \p Groups holds non-empty lists of indices into \p Jobs.
+/// Groups are bucketed by the image they build — the (benchmark, level,
+/// repeat) of their first job — and taken round-robin across buckets in
+/// order of first appearance: rank 0 of every bucket, then rank 1, and
+/// so on. Workers that start together therefore simulate different
+/// images, and a bucket's later groups (its other devices, typically)
+/// mostly find the shared profiles already published. Two groups of one
+/// bucket are adjacent only once every other bucket is exhausted. A group
+/// that never simulates (ModelOnly with static frequencies) shares no
+/// profile, so it is a bucket of its own and keeps its place: a pure
+/// model-only grid runs in expansion order.
+std::vector<size_t>
+interleaveSolveGroups(const std::vector<JobSpec> &Jobs,
+                      const std::vector<std::vector<size_t>> &Groups);
 
 /// Runs one configuration synchronously. \p Base supplies the fields a
 /// JobSpec does not cover (timing model, linker map, MIP budget, ...).

@@ -14,6 +14,15 @@
 
 using namespace ramloc;
 
+namespace {
+
+/// The pool and deque index of the calling worker thread; null on every
+/// thread that is not a JobQueue worker.
+thread_local const JobQueue *CurrentPool = nullptr;
+thread_local unsigned CurrentWorker = 0;
+
+} // namespace
+
 JobQueue::JobQueue(unsigned WorkerCount) {
   if (WorkerCount == 0)
     WorkerCount = 1;
@@ -54,6 +63,12 @@ void JobQueue::submit(Job J) {
 void JobQueue::wait() {
   std::unique_lock<std::mutex> Lock(StateMu);
   IdleCv.wait(Lock, [this] { return Pending == 0; });
+}
+
+bool JobQueue::runQueued() {
+  if (CurrentPool != this)
+    return false;
+  return tryRunOne(CurrentWorker);
 }
 
 size_t JobQueue::stealCount() const {
@@ -115,6 +130,8 @@ bool JobQueue::tryRunOne(unsigned Self) {
 }
 
 void JobQueue::workerLoop(unsigned Self) {
+  CurrentPool = this;
+  CurrentWorker = Self;
   Counter &IdleNs = globalMetrics().counter("jobqueue.idle_ns");
   for (;;) {
     if (tryRunOne(Self))

@@ -14,6 +14,11 @@
 /// to disjoint result slots, so the pool needs no futures or result
 /// plumbing — callers submit closures and wait for quiescence.
 ///
+/// A running job may also lend its thread back to the pool: a worker
+/// that would otherwise block (the campaign's profile waits) calls
+/// runQueued() to execute one queued job inline before it re-checks what
+/// it was waiting for.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAMLOC_CAMPAIGN_JOBQUEUE_H
@@ -49,6 +54,12 @@ public:
 
   /// Blocks until every submitted job has finished executing.
   void wait();
+
+  /// Runs one queued job (own deque first, then a sibling's) on the
+  /// calling thread and returns true; returns false when nothing is
+  /// queued. Valid only on this pool's own worker threads, i.e. from
+  /// inside a running job; any other caller gets false and runs nothing.
+  bool runQueued();
 
   unsigned workerCount() const {
     return static_cast<unsigned>(Workers.size());

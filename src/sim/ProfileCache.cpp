@@ -8,10 +8,31 @@
 #include "sim/ProfileCache.h"
 
 #include "support/Metrics.h"
+#include "support/Timer.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 
 using namespace ramloc;
+
+namespace {
+
+/// The calling thread's helper (HelpScope), and whether the thread is
+/// running it right now: acquires made from inside a helper block.
+thread_local const ProfileCache::Helper *ThreadHelper = nullptr;
+thread_local bool Helping = false;
+
+} // namespace
+
+ProfileCache::HelpScope::HelpScope(const Helper &Help) : Prev(ThreadHelper) {
+  ThreadHelper = &Help;
+}
+
+ProfileCache::HelpScope::~HelpScope() { ThreadHelper = Prev; }
+
+ProfileCache::ProfileCache()
+    : Waits(globalMetrics().counter("sim.profile.waits")),
+      WaitSeconds(globalMetrics().histogram("sim.profile.wait_seconds")) {}
 
 std::shared_ptr<const ExecutionProfile>
 ProfileCache::acquire(const std::string &Key, bool &Owner) {
@@ -28,7 +49,26 @@ ProfileCache::acquire(const std::string &Key, bool &Owner) {
     E = Slot;
   }
   std::unique_lock<std::mutex> Lock(E->M);
-  E->CV.wait(Lock, [&E] { return E->Done; });
+  while (!E->Done && ThreadHelper && !Helping) {
+    Lock.unlock();
+    bool Ran;
+    {
+      struct HelpingFlag {
+        HelpingFlag() { Helping = true; }
+        ~HelpingFlag() { Helping = false; }
+      } Flag;
+      Ran = (*ThreadHelper)();
+    }
+    Lock.lock();
+    if (!Ran)
+      break;
+  }
+  if (!E->Done) {
+    TraceSpan Span("profile-wait", "sim");
+    ScopedTimer Timer(&WaitSeconds);
+    E->CV.wait(Lock, [&E] { return E->Done; });
+    Waits.add();
+  }
   return E->Profile;
 }
 

@@ -7,6 +7,7 @@
 
 #include "beebs/Beebs.h"
 #include "campaign/Campaign.h"
+#include "campaign/JobQueue.h"
 #include "campaign/Report.h"
 #include "power/DeviceRegistry.h"
 #include "sim/ProfileCache.h"
@@ -14,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
 #include <set>
+#include <thread>
 
 using namespace ramloc;
 
@@ -824,4 +829,147 @@ TEST(Campaign, ReportWithSolverDiagnosticsParsesAndDiffsClean) {
   EXPECT_EQ(Parsed.Results[0].IncumbentSeeds, 1u);
   // Re-serialization drops the diagnostics: back to canonical bytes.
   EXPECT_EQ(campaignToJson(Parsed), Canonical);
+}
+
+TEST(Campaign, ConvoyShapedGridIsDeterministicAndComputesOnce) {
+  // The shape that convoys on shared profiles: many devices per image.
+  // Helping waiters must not change a byte of the report, nor the number
+  // of simulations the grid pays for.
+  GridSpec Grid;
+  Grid.Benchmarks = {"crc32", "int_matmult", "fdct"};
+  Grid.Levels = {OptLevel::O1};
+  std::vector<std::string> All = deviceNames();
+  ASSERT_GE(All.size(), 5u);
+  Grid.Devices.assign(All.begin(), All.begin() + 5);
+  Grid.RsparePoints = {128, 512};
+  Grid.XlimitPoints = {1.05, 1.5};
+  Grid.Repeat = 2;
+
+  CampaignOptions Serial;
+  Serial.Jobs = 1;
+  CampaignResult Ref = runCampaign(Grid, Serial);
+  ASSERT_EQ(Ref.Summary.Failed, 0u);
+  ASSERT_GT(Ref.Summary.FullSims, 0u);
+  for (unsigned Workers : {4u, 8u}) {
+    CampaignOptions Opts;
+    Opts.Jobs = Workers;
+    CampaignResult CR = runCampaign(Grid, Opts);
+    EXPECT_EQ(campaignToJson(CR), campaignToJson(Ref)) << Workers;
+    EXPECT_EQ(campaignToCsv(CR), campaignToCsv(Ref)) << Workers;
+    EXPECT_EQ(CR.Summary.FullSims, Ref.Summary.FullSims) << Workers;
+    EXPECT_EQ(CR.Summary.Recosts, Ref.Summary.Recosts) << Workers;
+  }
+}
+
+namespace {
+
+/// The image bucket interleaveSolveGroups keys a group by.
+std::string imageOf(const std::vector<JobSpec> &Jobs,
+                    const std::vector<std::vector<size_t>> &Groups,
+                    size_t G) {
+  const JobSpec &J = Jobs[Groups[G].front()];
+  return J.Benchmark + "|" + optLevelName(J.Level) + "|" +
+         std::to_string(J.Repeat);
+}
+
+} // namespace
+
+TEST(Campaign, InterleavedSubmissionOrder) {
+  // Unequal buckets: crc32 at two levels x 4 devices, sha at one level x
+  // 1 device, fdct at one level x 2 devices, each with two knob points.
+  std::vector<JobSpec> Jobs;
+  auto Add = [&Jobs](const char *Bench, OptLevel L, unsigned Devices) {
+    std::vector<std::string> All = deviceNames();
+    for (unsigned D = 0; D != Devices; ++D)
+      for (unsigned Rspare : {128u, 512u}) {
+        JobSpec J;
+        J.Benchmark = Bench;
+        J.Level = L;
+        J.Device = All[D];
+        J.RspareBytes = Rspare;
+        Jobs.push_back(J);
+      }
+  };
+  Add("crc32", OptLevel::O1, 4);
+  Add("crc32", OptLevel::O2, 4);
+  Add("sha", OptLevel::O2, 1);
+  Add("fdct", OptLevel::O2, 2);
+  // Solve groups as runCampaign forms them: by solveGroupKey, in order.
+  std::vector<std::vector<size_t>> Groups;
+  std::map<std::string, size_t> GroupOf;
+  for (size_t I = 0; I != Jobs.size(); ++I) {
+    auto [It, New] = GroupOf.emplace(Jobs[I].solveGroupKey(), Groups.size());
+    if (New)
+      Groups.emplace_back();
+    Groups[It->second].push_back(I);
+  }
+  ASSERT_EQ(Groups.size(), 11u);
+
+  std::vector<size_t> Order = interleaveSolveGroups(Jobs, Groups);
+  // A permutation: every group exactly once.
+  ASSERT_EQ(Order.size(), Groups.size());
+  std::vector<size_t> Sorted = Order;
+  std::sort(Sorted.begin(), Sorted.end());
+  for (size_t G = 0; G != Groups.size(); ++G)
+    EXPECT_EQ(Sorted[G], G);
+  // Deterministic for a given job list.
+  EXPECT_EQ(interleaveSolveGroups(Jobs, Groups), Order);
+  // Rank 0 of every bucket first, in order of first appearance.
+  EXPECT_EQ(Order[0], 0u); // crc32 O1, first device
+  EXPECT_EQ(Order[1], 4u); // crc32 O2, first device
+  EXPECT_EQ(Order[2], 8u); // sha
+  EXPECT_EQ(Order[3], 9u); // fdct
+  // Two groups of one bucket are adjacent only once every other bucket
+  // has run out of groups.
+  for (size_t I = 0; I + 1 != Order.size(); ++I) {
+    std::string Here = imageOf(Jobs, Groups, Order[I]);
+    if (Here != imageOf(Jobs, Groups, Order[I + 1]))
+      continue;
+    for (size_t K = I + 1; K != Order.size(); ++K)
+      EXPECT_EQ(imageOf(Jobs, Groups, Order[K]), Here)
+          << "position " << I << " repeats a bucket while " << K
+          << " still holds another";
+  }
+  // Within a bucket, groups keep their expansion order.
+  std::map<std::string, size_t> LastSeen;
+  for (size_t G : Order) {
+    std::string Image = imageOf(Jobs, Groups, G);
+    auto It = LastSeen.find(Image);
+    if (It != LastSeen.end())
+      EXPECT_LT(It->second, G);
+    LastSeen[Image] = G;
+  }
+  // A group that never simulates shares no profile, so it is a bucket of
+  // its own: a model-only grid with static frequencies keeps its order.
+  for (JobSpec &J : Jobs)
+    J.Kind = JobKind::ModelOnly;
+  std::vector<size_t> ModelOnly = interleaveSolveGroups(Jobs, Groups);
+  for (size_t G = 0; G != Groups.size(); ++G)
+    EXPECT_EQ(ModelOnly[G], G);
+}
+
+TEST(JobQueue, RunQueuedOnlyRunsOnTheOwnPoolsWorkers) {
+  JobQueue Pool(1);
+  JobQueue Other(1);
+  EXPECT_FALSE(Pool.runQueued()); // not a worker thread
+  std::atomic<bool> Release{false};
+  std::atomic<unsigned> Ran{0};
+  std::atomic<int> FromOwnWorker{-1}, FromOtherPool{-1}, FromEmpty{-1};
+  // The single worker blocks in the first job until the second job is
+  // queued behind it, then runs that one inline.
+  Pool.submit([&] {
+    while (!Release.load())
+      std::this_thread::yield();
+    Other.submit([&] { FromOtherPool = Pool.runQueued() ? 1 : 0; });
+    FromOwnWorker = Pool.runQueued() ? 1 : 0;
+    FromEmpty = Pool.runQueued() ? 1 : 0;
+  });
+  Pool.submit([&] { ++Ran; });
+  Release = true;
+  Pool.wait();
+  Other.wait();
+  EXPECT_EQ(FromOwnWorker.load(), 1);
+  EXPECT_EQ(Ran.load(), 1u);
+  EXPECT_EQ(FromEmpty.load(), 0);
+  EXPECT_EQ(FromOtherPool.load(), 0);
 }

@@ -18,10 +18,12 @@
 #include "sim/Predecode.h"
 #include "sim/ProfileCache.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 using namespace ramloc;
@@ -343,4 +345,145 @@ TEST(ProfileCache, SamplingRunsBypassTheCache) {
   EXPECT_EQ(C.FullSims, 0u);
   EXPECT_EQ(C.Recosts, 0u);
   EXPECT_EQ(Profiles.size(), 0u);
+}
+
+namespace {
+
+std::shared_ptr<const ExecutionProfile> validProfile() {
+  auto P = std::make_shared<ExecutionProfile>();
+  P->Valid = true;
+  return P;
+}
+
+uint64_t profileWaits() {
+  return globalMetrics().counterValue("sim.profile.waits");
+}
+
+} // namespace
+
+TEST(ProfileCache, WaiterHelpsWhileKeyIsInFlight) {
+  ProfileCache Cache;
+  bool Owner = false;
+  ASSERT_EQ(Cache.acquire("key", Owner), nullptr);
+  ASSERT_TRUE(Owner);
+
+  auto Payload = validProfile();
+  std::atomic<unsigned> Calls{0};
+  const ProfileCache::Helper Help = [&Calls] {
+    ++Calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return true; // there is always more work: the waiter never blocks
+  };
+  uint64_t WaitsBefore = profileWaits();
+  std::shared_ptr<const ExecutionProfile> Got;
+  bool WaiterOwner = true;
+  std::thread Waiter([&] {
+    ProfileCache::HelpScope Scope(Help);
+    Got = Cache.acquire("key", WaiterOwner);
+  });
+  while (Calls.load() < 2)
+    std::this_thread::yield();
+  Cache.publish("key", Payload);
+  Waiter.join();
+  EXPECT_FALSE(WaiterOwner);
+  EXPECT_EQ(Got, Payload);
+  EXPECT_GE(Calls.load(), 2u);
+  EXPECT_EQ(profileWaits(), WaitsBefore); // it helped, it never blocked
+}
+
+TEST(ProfileCache, NestedWaiterBlocksInsteadOfHelping) {
+  ProfileCache Cache;
+  bool Owner = false;
+  Cache.acquire("outer", Owner);
+  ASSERT_TRUE(Owner);
+  Cache.acquire("inner", Owner);
+  ASSERT_TRUE(Owner);
+
+  auto Outer = validProfile(), Inner = validProfile();
+  std::atomic<unsigned> Calls{0};
+  std::atomic<bool> InnerStarted{false};
+  std::shared_ptr<const ExecutionProfile> GotInner;
+  // The first call runs "other work" that itself waits on an in-flight
+  // key; that nested acquire must block rather than re-enter the helper.
+  const ProfileCache::Helper Help = [&] {
+    if (++Calls != 1)
+      return false;
+    InnerStarted = true;
+    bool InnerOwner = true;
+    GotInner = Cache.acquire("inner", InnerOwner);
+    EXPECT_FALSE(InnerOwner);
+    return true;
+  };
+  uint64_t WaitsBefore = profileWaits();
+  std::shared_ptr<const ExecutionProfile> GotOuter;
+  std::thread Waiter([&] {
+    ProfileCache::HelpScope Scope(Help);
+    bool OuterOwner = true;
+    GotOuter = Cache.acquire("outer", OuterOwner);
+    EXPECT_FALSE(OuterOwner);
+  });
+  while (!InnerStarted.load())
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(Calls.load(), 1u); // blocked at depth 1, not helping again
+  Cache.publish("inner", Inner);
+  // Back at depth 0 the waiter asks for more work, gets none, and blocks.
+  while (Calls.load() < 2)
+    std::this_thread::yield();
+  Cache.publish("outer", Outer);
+  Waiter.join();
+  EXPECT_EQ(Calls.load(), 2u);
+  EXPECT_EQ(GotInner, Inner);
+  EXPECT_EQ(GotOuter, Outer);
+  // Both blocks are counted unless a publish raced ahead of them.
+  EXPECT_GE(profileWaits(), WaitsBefore + 1);
+  EXPECT_LE(profileWaits(), WaitsBefore + 2);
+}
+
+TEST(ProfileCache, OwnerPathNeverCallsTheHelper) {
+  ProfileCache Cache;
+  unsigned Calls = 0;
+  const ProfileCache::Helper Help = [&Calls] {
+    ++Calls;
+    return true;
+  };
+  ProfileCache::HelpScope Scope(Help);
+  bool Owner = false;
+  EXPECT_EQ(Cache.acquire("fresh", Owner), nullptr);
+  EXPECT_TRUE(Owner);
+  auto Payload = validProfile();
+  Cache.publish("fresh", Payload);
+  // Published and preloaded keys are ready: no wait, so no help either.
+  EXPECT_EQ(Cache.acquire("fresh", Owner), Payload);
+  EXPECT_FALSE(Owner);
+  Cache.preload("stored", Payload);
+  EXPECT_EQ(Cache.acquire("stored", Owner), Payload);
+  EXPECT_FALSE(Owner);
+  EXPECT_EQ(Calls, 0u);
+}
+
+TEST(ProfileCache, FaultedPublishWakesAHelper) {
+  ProfileCache Cache;
+  bool Owner = false;
+  Cache.acquire("key", Owner);
+  ASSERT_TRUE(Owner);
+
+  std::atomic<unsigned> Calls{0};
+  // One unit of other work, then the queue is empty and the waiter
+  // blocks: the owner's null publish must still wake it.
+  const ProfileCache::Helper Help = [&Calls] { return ++Calls == 1; };
+  std::shared_ptr<const ExecutionProfile> Got = validProfile();
+  bool WaiterOwner = true;
+  std::thread Waiter([&] {
+    ProfileCache::HelpScope Scope(Help);
+    Got = Cache.acquire("key", WaiterOwner);
+  });
+  while (Calls.load() < 2)
+    std::this_thread::yield();
+  Cache.publish("key", nullptr); // the owning run faulted
+  Waiter.join();
+  EXPECT_FALSE(WaiterOwner);
+  EXPECT_EQ(Got, nullptr);
+  EXPECT_EQ(Calls.load(), 2u);
+  EXPECT_EQ(Cache.size(), 0u);
 }

@@ -1108,6 +1108,14 @@ int main(int Argc, char **Argv) {
       Row("campaign.solve.cold");
       Row("campaign.solve.warm");
       Row("campaign.solve.incumbent_seeds");
+      // Scheduling diagnostics: profile waits that blocked a worker, how
+      // long they blocked in total, and the groups waiting workers ran.
+      Row("sim.profile.waits");
+      C.addRow({"sim.profile.wait_seconds",
+                formatString("%.3f", M.histogram("sim.profile.wait_seconds")
+                                         .stats()
+                                         .Sum)});
+      Row("campaign.sched.helped");
       std::printf("%s", C.render().c_str());
     }
     std::fprintf(stderr, "wall time %.2fs\n", CR.Summary.WallSeconds);
