@@ -12,11 +12,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "beebs/Beebs.h"
+#include "core/Instrumenter.h"
 #include "core/Pipeline.h"
 #include "power/DeviceRegistry.h"
 #include "sim/ExecutionProfile.h"
 #include "sim/Predecode.h"
 #include "sim/ProfileCache.h"
+#include "support/Format.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 
@@ -486,4 +489,363 @@ TEST(ProfileCache, FaultedPublishWakesAHelper) {
   EXPECT_EQ(Got, nullptr);
   EXPECT_EQ(Calls.load(), 2u);
   EXPECT_EQ(Cache.size(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden oracle: RunStats digests recorded from the interpreter as it was
+// before full simulation and recost shared one pricing path. Once both
+// derive cycles from the same per-instruction counts, comparing them with
+// each other can no longer catch a pricing bug; these constants can.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// FNV-1a over fixed-width little-endian words, so field boundaries
+/// cannot alias.
+struct Digest {
+  uint64_t H = Fnv1aOffset;
+  void word(uint64_t V) {
+    for (unsigned B = 0; B != 8; ++B) {
+      H ^= static_cast<unsigned char>(V >> (B * 8));
+      H *= Fnv1aPrime;
+    }
+  }
+  void text(const std::string &S) {
+    word(S.size());
+    H = fnv1a64(H, S);
+  }
+  void counts(const std::vector<std::vector<uint64_t>> &BlockCounts) {
+    word(BlockCounts.size());
+    for (const std::vector<uint64_t> &F : BlockCounts) {
+      word(F.size());
+      for (uint64_t C : F)
+        word(C);
+    }
+  }
+};
+
+/// Every RunStats field, Error and ExitCode included.
+uint64_t digestOf(const RunStats &S) {
+  Digest D;
+  D.word(S.Cycles);
+  D.word(S.Instructions);
+  for (unsigned F = 0; F != 2; ++F)
+    for (unsigned C = 0; C != 7; ++C)
+      D.word(S.ClassCycles[F][C]);
+  for (unsigned F = 0; F != 2; ++F)
+    for (unsigned M = 0; M != 2; ++M)
+      D.word(S.LoadCycles[F][M]);
+  D.word(S.ContentionStalls);
+  D.word(S.FlashWaitCycles);
+  D.word(S.SleepEvents);
+  D.counts(S.BlockCounts);
+  D.word(S.Samples.size());
+  for (const PowerSample &P : S.Samples) {
+    D.word(P.Cycles);
+    for (unsigned F = 0; F != 2; ++F)
+      for (unsigned C = 0; C != 7; ++C)
+        D.word(P.ClassCycles[F][C]);
+    for (unsigned F = 0; F != 2; ++F)
+      for (unsigned M = 0; M != 2; ++M)
+        D.word(P.LoadCycles[F][M]);
+  }
+  D.word(S.ExitCode);
+  D.text(S.Error);
+  D.word(S.HitCycleLimit);
+  return D.H;
+}
+
+/// Every ExecutionProfile field: what the profile store persists.
+uint64_t digestOf(const ExecutionProfile &P) {
+  Digest D;
+  D.word(P.Instrs.size());
+  for (const InstrCounts &C : P.Instrs) {
+    D.word(C.Exec);
+    D.word(C.Taken);
+    D.word(C.Skipped);
+    D.word(C.LoadData[0]);
+    D.word(C.LoadData[1]);
+  }
+  D.counts(P.BlockCounts);
+  D.word(P.Instructions);
+  D.word(P.SleepEvents);
+  D.word(P.ExitCode);
+  D.word(P.Valid);
+  return D.H;
+}
+
+/// \p M with every other movable block (by global index) moved to RAM, up
+/// to 1 KB: code in both memories, chosen without the solver so the
+/// oracle does not move when placement decisions do.
+Image linkRamPlaced(const Module &M) {
+  ExtractedModule EM = extractModule(M, PipelineOptions{},
+                                     /*NeedBaseline=*/false);
+  EXPECT_TRUE(EM.ok()) << EM.Error;
+  Assignment InRam(EM.MP.numBlocks(), false);
+  unsigned Bytes = 0;
+  for (unsigned B = 1; B < InRam.size(); B += 2) {
+    const BlockParams &BP = EM.MP.Blocks[B];
+    if (BP.Movable && Bytes + BP.Sb <= 1024) {
+      InRam[B] = true;
+      Bytes += BP.Sb;
+    }
+  }
+  LinkResult LR = linkModule(applyPlacement(M, EM.MP, InRam), {});
+  EXPECT_TRUE(LR.ok());
+  return LR.Img;
+}
+
+/// Runs \p Img under \p Opts both plain and profiled; the two must agree
+/// (they share one interpreter) and the digest is returned.
+uint64_t runDigest(const Image &Img, const SimOptions &Opts,
+                   ExecutionProfile *Profile = nullptr,
+                   uint32_t Arg0 = 0) {
+  RunStats Plain = runImage(Img, Opts, Arg0);
+  ExecutionProfile Local;
+  RunStats Profiled =
+      runImageProfiled(Img, Opts, Profile ? *Profile : Local, Arg0);
+  EXPECT_EQ(digestOf(Plain), digestOf(Profiled));
+  return digestOf(Plain);
+}
+
+constexpr unsigned NumGoldenDevices = 9;
+
+struct GoldenBench {
+  const char *Name;
+  /// Per registry device, in registry order.
+  uint64_t Base[NumGoldenDevices];
+  uint64_t RamPlaced[NumGoldenDevices];
+  /// Reference-device profiles of the two images.
+  uint64_t BaseProfile;
+  uint64_t RamProfile;
+  /// Fig. 7 power-profile runs (1000-cycle windows) of the base image on
+  /// the reference device and on stm32f103-72mhz (2 wait states).
+  uint64_t Sampled[2];
+};
+
+// clang-format off
+const GoldenBench GoldenSuite[] = {
+    {"2dfir",
+     {0x10b38fe7939bc472ULL, 0x10b38fe7939bc472ULL, 0x10b38fe7939bc472ULL,
+      0x10b38fe7939bc472ULL, 0x10b38fe7939bc472ULL, 0x12b174099141ab2fULL,
+      0x12b174099141ab2fULL, 0x10b38fe7939bc472ULL, 0xc04be6dcba54191cULL},
+     {0xf32c2b8fe5b21b80ULL, 0xf32c2b8fe5b21b80ULL, 0xf32c2b8fe5b21b80ULL,
+      0xf32c2b8fe5b21b80ULL, 0xf32c2b8fe5b21b80ULL, 0x517df6fafd4ebf29ULL,
+      0x517df6fafd4ebf29ULL, 0xf32c2b8fe5b21b80ULL, 0xebfa68331476e891ULL},
+     0xcca0bca7112d94ceULL,
+     0xfc47685dd597a593ULL,
+     {0x1c2689de1806ce08ULL, 0x0c7da2f41b0469cfULL}},
+    {"blowfish",
+     {0x4e99535ddb368539ULL, 0x4e99535ddb368539ULL, 0x4e99535ddb368539ULL,
+      0x4e99535ddb368539ULL, 0x4e99535ddb368539ULL, 0x4872666312045c16ULL,
+      0x4872666312045c16ULL, 0x4e99535ddb368539ULL, 0x8b4d51f51c540b14ULL},
+     {0x0b1cc7ef089e906dULL, 0x0b1cc7ef089e906dULL, 0x0b1cc7ef089e906dULL,
+      0x0b1cc7ef089e906dULL, 0x0b1cc7ef089e906dULL, 0xaa4c14bb1d57c479ULL,
+      0xaa4c14bb1d57c479ULL, 0x0b1cc7ef089e906dULL, 0x94fb2fcbea1425a3ULL},
+     0x2bf2403636f22146ULL,
+     0x7771ceda665d49aaULL,
+     {0xef02ebd38924264dULL, 0x0125ab2dbaaf9cc8ULL}},
+    {"crc32",
+     {0x8d41fe8b2b1d54aeULL, 0x8d41fe8b2b1d54aeULL, 0x8d41fe8b2b1d54aeULL,
+      0x8d41fe8b2b1d54aeULL, 0x8d41fe8b2b1d54aeULL, 0x51dc7994a1c12b18ULL,
+      0x51dc7994a1c12b18ULL, 0x8d41fe8b2b1d54aeULL, 0x0e15ae72146fef9bULL},
+     {0x71411cf609998d8aULL, 0x71411cf609998d8aULL, 0x71411cf609998d8aULL,
+      0x71411cf609998d8aULL, 0x71411cf609998d8aULL, 0x2ef94982c62e27adULL,
+      0x2ef94982c62e27adULL, 0x71411cf609998d8aULL, 0x8115828d40267f24ULL},
+     0x0309f2d76c95e6d2ULL,
+     0xb0399a8f5278ca07ULL,
+     {0x2608dc82fe042d55ULL, 0x6393acfd787da205ULL}},
+    {"cubic",
+     {0x024b2d3860339b8bULL, 0x024b2d3860339b8bULL, 0x024b2d3860339b8bULL,
+      0x024b2d3860339b8bULL, 0x024b2d3860339b8bULL, 0x869629de34086437ULL,
+      0x869629de34086437ULL, 0x024b2d3860339b8bULL, 0x945e5925085b58eaULL},
+     {0x953a57e46ed519d7ULL, 0x953a57e46ed519d7ULL, 0x953a57e46ed519d7ULL,
+      0x953a57e46ed519d7ULL, 0x953a57e46ed519d7ULL, 0xfe377c31bc965f21ULL,
+      0xfe377c31bc965f21ULL, 0x953a57e46ed519d7ULL, 0x49eb16a6dc060798ULL},
+     0x353522d3023ce8a0ULL,
+     0x0b17091ecefa6d4bULL,
+     {0x74f96bcc2af92e10ULL, 0xa7dcef746612e899ULL}},
+    {"dijkstra",
+     {0xa61543eb9c1b7b92ULL, 0xa61543eb9c1b7b92ULL, 0xa61543eb9c1b7b92ULL,
+      0xa61543eb9c1b7b92ULL, 0xa61543eb9c1b7b92ULL, 0x57ee345ff34cb2b2ULL,
+      0x57ee345ff34cb2b2ULL, 0xa61543eb9c1b7b92ULL, 0xd4a199b1027711f7ULL},
+     {0x8fc31dcb5050afafULL, 0x8fc31dcb5050afafULL, 0x8fc31dcb5050afafULL,
+      0x8fc31dcb5050afafULL, 0x8fc31dcb5050afafULL, 0xbdff5d7c7842c103ULL,
+      0xbdff5d7c7842c103ULL, 0x8fc31dcb5050afafULL, 0xb61493eb6523c93fULL},
+     0x909686a605b8cc25ULL,
+     0x288a48692017a16bULL,
+     {0x96f6e5e5b386c99bULL, 0x6f63858c380a8d10ULL}},
+    {"fdct",
+     {0x5690da997a231017ULL, 0x5690da997a231017ULL, 0x5690da997a231017ULL,
+      0x5690da997a231017ULL, 0x5690da997a231017ULL, 0xb0dbc82851eece5aULL,
+      0xb0dbc82851eece5aULL, 0x5690da997a231017ULL, 0xd9fbae06522ecb16ULL},
+     {0x7302873fcdec89ebULL, 0x7302873fcdec89ebULL, 0x7302873fcdec89ebULL,
+      0x7302873fcdec89ebULL, 0x7302873fcdec89ebULL, 0xa3009975b22ce7d4ULL,
+      0xa3009975b22ce7d4ULL, 0x7302873fcdec89ebULL, 0x705999bf84093031ULL},
+     0x91349e5639376e2aULL,
+     0x7e6f3529845885ffULL,
+     {0x4aa276c0c858f42dULL, 0x7e602768b5165da5ULL}},
+    {"float_matmult",
+     {0x2c7d6c87365cde47ULL, 0x2c7d6c87365cde47ULL, 0x2c7d6c87365cde47ULL,
+      0x2c7d6c87365cde47ULL, 0x2c7d6c87365cde47ULL, 0x7235a57123ad2c38ULL,
+      0x7235a57123ad2c38ULL, 0x2c7d6c87365cde47ULL, 0x5520b65c94dcee9eULL},
+     {0xe1510f37d96f57b8ULL, 0xe1510f37d96f57b8ULL, 0xe1510f37d96f57b8ULL,
+      0xe1510f37d96f57b8ULL, 0xe1510f37d96f57b8ULL, 0x64499de2b400be14ULL,
+      0x64499de2b400be14ULL, 0xe1510f37d96f57b8ULL, 0x0ddb641899d1d274ULL},
+     0xf4da72d121edbc18ULL,
+     0xd89b25f380519a68ULL,
+     {0xc11a047cf3292d42ULL, 0x1efd814cd9822fa0ULL}},
+    {"int_matmult",
+     {0xf843920a3ee38bc0ULL, 0xf843920a3ee38bc0ULL, 0xf843920a3ee38bc0ULL,
+      0xf843920a3ee38bc0ULL, 0xf843920a3ee38bc0ULL, 0x7c89c31574c5efa1ULL,
+      0x7c89c31574c5efa1ULL, 0xf843920a3ee38bc0ULL, 0x65dc9482832c2a38ULL},
+     {0x43a8bd05b450bc16ULL, 0x43a8bd05b450bc16ULL, 0x43a8bd05b450bc16ULL,
+      0x43a8bd05b450bc16ULL, 0x43a8bd05b450bc16ULL, 0x3544c8faf5fbad2bULL,
+      0x3544c8faf5fbad2bULL, 0x43a8bd05b450bc16ULL, 0x571cdc802419fe6fULL},
+     0xee4391285ac115c0ULL,
+     0x6b2c130aececb641ULL,
+     {0x302c9651a772416fULL, 0xdb863eb34caf92deULL}},
+    {"rijndael",
+     {0x9c24f43178261069ULL, 0x9c24f43178261069ULL, 0x9c24f43178261069ULL,
+      0x9c24f43178261069ULL, 0x9c24f43178261069ULL, 0xf82f659838080acfULL,
+      0xf82f659838080acfULL, 0x9c24f43178261069ULL, 0xa42e1465a898045fULL},
+     {0xdd9ffd1aa30944beULL, 0xdd9ffd1aa30944beULL, 0xdd9ffd1aa30944beULL,
+      0xdd9ffd1aa30944beULL, 0xdd9ffd1aa30944beULL, 0x137669dfc991576dULL,
+      0x137669dfc991576dULL, 0xdd9ffd1aa30944beULL, 0x89b48a3644fea306ULL},
+     0xd2d6a1468f1c6a1eULL,
+     0x32e59af791f57df3ULL,
+     {0xdd618c1236494846ULL, 0x64c339a3f68080adULL}},
+    {"sha",
+     {0xc6804b497978b76dULL, 0xc6804b497978b76dULL, 0xc6804b497978b76dULL,
+      0xc6804b497978b76dULL, 0xc6804b497978b76dULL, 0x97eb5c418bb30fd5ULL,
+      0x97eb5c418bb30fd5ULL, 0xc6804b497978b76dULL, 0xd619e4e380822552ULL},
+     {0xc66c4851b13dce25ULL, 0xc66c4851b13dce25ULL, 0xc66c4851b13dce25ULL,
+      0xc66c4851b13dce25ULL, 0xc66c4851b13dce25ULL, 0x798e3484e24d734bULL,
+      0x798e3484e24d734bULL, 0xc66c4851b13dce25ULL, 0x94cd87a3a28dbfebULL},
+     0xc54ddcdd8282ca38ULL,
+     0xa4763d00d8a11f87ULL,
+     {0x85199de93cee6f5fULL, 0x84c74618b325d8c3ULL}},
+};
+// clang-format on
+
+std::string hex(uint64_t V) { return formatString("0x%016llx", static_cast<unsigned long long>(V)); }
+
+} // namespace
+
+TEST(GoldenOracle, BeebsO2ReproducesRecordedStatsOnEveryDevice) {
+  const std::vector<DeviceInfo> &Devices = deviceRegistry();
+  ASSERT_EQ(Devices.size(), NumGoldenDevices);
+  ASSERT_EQ(std::size(GoldenSuite), beebsSuite().size());
+  const TimingModel Waited = findDevice("stm32f103-72mhz")->Timing;
+  for (const GoldenBench &G : GoldenSuite) {
+    Module M = buildBeebs(G.Name, OptLevel::O2, 2);
+    LinkResult LR = linkModule(M, {});
+    ASSERT_TRUE(LR.ok()) << G.Name;
+    Image Ram = linkRamPlaced(M);
+    for (size_t D = 0; D != Devices.size(); ++D) {
+      SimOptions Sim;
+      Sim.Timing = Devices[D].Timing;
+      std::string Ctx = std::string(G.Name) + " on " + Devices[D].Name;
+      ExecutionProfile BaseProf, RamProf;
+      EXPECT_EQ(hex(runDigest(LR.Img, Sim, &BaseProf)), hex(G.Base[D]))
+          << Ctx;
+      EXPECT_EQ(hex(runDigest(Ram, Sim, &RamProf)), hex(G.RamPlaced[D]))
+          << Ctx << " (RAM-placed)";
+      EXPECT_EQ(hex(digestOf(BaseProf)), hex(G.BaseProfile)) << Ctx;
+      EXPECT_EQ(hex(digestOf(RamProf)), hex(G.RamProfile)) << Ctx;
+    }
+    SimOptions Sampled;
+    Sampled.SampleIntervalCycles = 1000;
+    EXPECT_EQ(hex(digestOf(runImage(LR.Img, Sampled))), hex(G.Sampled[0]))
+        << G.Name << " sampled";
+    Sampled.Timing = Waited;
+    EXPECT_EQ(hex(digestOf(runImage(LR.Img, Sampled))), hex(G.Sampled[1]))
+        << G.Name << " sampled, 2 wait states";
+  }
+}
+
+namespace {
+
+/// One faulting or aborted run, digested across every registry device
+/// (the partial statistics carry each device's attribution).
+uint64_t faultDigest(const Image &Img, uint64_t MaxCycles = 4'000'000'000ULL) {
+  Digest D;
+  for (const DeviceInfo &Dev : deviceRegistry()) {
+    SimOptions Sim;
+    Sim.Timing = Dev.Timing;
+    Sim.MaxCycles = MaxCycles;
+    RunStats S = runImage(Img, Sim);
+    EXPECT_FALSE(S.ok()) << Dev.Name;
+    D.word(runDigest(Img, Sim));
+  }
+  return D.H;
+}
+
+Image linkFaultSnippet(std::vector<Instr> Body, Module Extra = {}) {
+  Module M = std::move(Extra);
+  M.EntryFunction = "t";
+  Function F("t");
+  BasicBlock BB("entry");
+  BB.Instrs = std::move(Body);
+  BB.Instrs.push_back(build::bkpt());
+  F.Blocks.push_back(BB);
+  M.Functions.insert(M.Functions.begin(), F);
+  LinkResult LR = linkModule(M);
+  EXPECT_TRUE(LR.ok()) << (LR.Errors.empty() ? "" : LR.Errors.front());
+  return LR.Img;
+}
+
+} // namespace
+
+TEST(GoldenOracle, FaultPathsReproduceRecordedStats) {
+  using namespace build;
+  const uint32_t RamEnd = MemoryMap{}.stackTop();
+  Module Rodata;
+  Rodata.addRodataWords("tab", {7});
+  struct Case {
+    const char *Name;
+    Image Img;
+    uint64_t MaxCycles;
+    uint64_t Expected;
+  } Cases[] = {
+      {"read fault (unmapped)",
+       linkFaultSnippet({movImm(R0, 3), push(1u << R0), addImm(R0, R0, 1),
+                         ldrLitConst(R1, 0x40000000), ldrImm(R0, R1, 0)}),
+       4'000'000'000ULL, 0x40d53a0796700723ULL},
+      {"read fault (straddles the end of RAM)",
+       linkFaultSnippet({ldrLitConst(R1, static_cast<int32_t>(RamEnd - 2)),
+                         ldrhImm(R2, R1, 0), ldrImm(R0, R1, 0)}),
+       4'000'000'000ULL, 0xfaf06f9f08173d6cULL},
+      {"read fault (pop past the stack top)",
+       linkFaultSnippet({pop((1u << R0) | (1u << PC))}),
+       4'000'000'000ULL, 0xb79a4ef368eaf970ULL},
+      {"write fault (flash)",
+       linkFaultSnippet({ldrLitSym(R1, "tab"), ldrImm(R2, R1, 0),
+                         strImm(R2, R1, 0)},
+                        Rodata),
+       4'000'000'000ULL, 0x38eb035070938784ULL},
+      {"write fault (straddles the end of RAM)",
+       linkFaultSnippet({ldrLitConst(R1, static_cast<int32_t>(RamEnd - 1)),
+                         strbImm(R0, R1, 0), strhImm(R0, R1, 0)}),
+       4'000'000'000ULL, 0xfc206a13a840f7daULL},
+      {"fetch fault (bx into data)",
+       linkFaultSnippet({ldrLitConst(R1, 0x20000101), bx(R1)}),
+       4'000'000'000ULL, 0xf7b9208508be083bULL},
+      {"fetch fault (ldr pc to unmapped)",
+       linkFaultSnippet({ldrLitConst(PC, 0x40000001)}),
+       4'000'000'000ULL, 0xa5320abeaf865fd6ULL},
+  };
+  for (const Case &C : Cases)
+    EXPECT_EQ(hex(faultDigest(C.Img, C.MaxCycles)), hex(C.Expected))
+        << C.Name;
+
+  // The cycle budget tripping mid-run, in flash-only and RAM-placed code.
+  Module M = buildBeebs("crc32", OptLevel::O2, 2);
+  LinkResult LR = linkModule(M, {});
+  ASSERT_TRUE(LR.ok());
+  EXPECT_EQ(hex(faultDigest(LR.Img, 5003)), hex(0x88bdd383f6c5cf8fULL))
+      << "cycle limit";
+  EXPECT_EQ(hex(faultDigest(linkRamPlaced(M), 5003)),
+            hex(0x3b99301f08af9149ULL))
+      << "cycle limit (RAM-placed)";
 }
