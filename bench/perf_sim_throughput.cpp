@@ -3,10 +3,13 @@
 // Part of ramloc, a reproduction of "Optimizing the flash-RAM energy
 // trade-off in deeply embedded systems" (Pallister et al., CGO 2015).
 //
-// The perf harness for the simulate-once/cost-many split. Three numbers:
+// The perf harness for the interpreter and the simulate-once/cost-many
+// split. Three numbers:
 //
-//  - sim_cycles_per_sec: raw interpreter throughput (simulated cycles per
-//    wall second) over the predecoded hot loop.
+//  - sim_ns_per_instr: raw interpreter cost, wall nanoseconds per
+//    simulated instruction over the whole BEEBS suite at O2. Each window
+//    runs all ten images once; the median and interquartile range over
+//    the windows are reported, with per-benchmark medians alongside.
 //  - fullsim_configs_per_sec: device-axis grid points satisfied by full
 //    simulation (link + execute + integrate per device).
 //  - recost_configs_per_sec: the same grid points satisfied by recosting
@@ -32,6 +35,7 @@
 #include "support/Metrics.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -43,6 +47,18 @@ namespace {
 // part recosting cannot remove), as it does in real campaign workloads.
 constexpr const char *Benchmark = "crc32";
 constexpr unsigned Repeat = 200;
+
+/// Interpreter windows over the suite (each runs all ten images once).
+constexpr unsigned SimWindows = 21;
+
+/// The \p Q quantile of \p V (linear interpolation between ranks).
+double quantile(std::vector<double> V, double Q) {
+  std::sort(V.begin(), V.end());
+  double Pos = Q * (V.size() - 1);
+  size_t Lo = static_cast<size_t>(Pos);
+  size_t Hi = std::min(Lo + 1, V.size() - 1);
+  return V[Lo] + (Pos - Lo) * (V[Hi] - V[Lo]);
+}
 
 /// Runs \p Body repeatedly until it has consumed at least \p MinSeconds,
 /// returning iterations per second. Each measured window also lands in
@@ -73,19 +89,58 @@ int main() {
   }
   const std::vector<DeviceInfo> &Devices = deviceRegistry();
 
-  // --- raw interpreter throughput ----------------------------------------
-  RunStats Reference = runImage(LR.Img);
-  if (!Reference.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", Reference.Error.c_str());
-    return 1;
+  // --- raw interpreter cost over the suite ------------------------------
+  struct SuiteRun {
+    const char *Name;
+    Image Img;
+    uint64_t Instructions = 0;
+    uint64_t Cycles = 0;
+    std::vector<double> NsPerInstr;
+  };
+  std::vector<SuiteRun> Suite;
+  uint64_t SuiteInstructions = 0, SuiteCycles = 0;
+  for (const BeebsInfo &Info : beebsSuite()) {
+    LinkResult SL = linkModule(buildBeebs(Info.Name, OptLevel::O2), {});
+    if (!SL.ok()) {
+      std::fprintf(stderr, "link failed: %s\n", SL.Errors.front().c_str());
+      return 1;
+    }
+    RunStats S = runImage(SL.Img); // also the warm-up run
+    if (!S.ok()) {
+      std::fprintf(stderr, "%s: run failed: %s\n", Info.Name,
+                   S.Error.c_str());
+      return 1;
+    }
+    Suite.push_back({Info.Name, std::move(SL.Img), S.Instructions, S.Cycles,
+                     {}});
+    SuiteInstructions += S.Instructions;
+    SuiteCycles += S.Cycles;
   }
-  double SimsPerSec =
-      ratePerSec(0.3, [&] { (void)runImage(LR.Img); });
-  double CyclesPerSec = SimsPerSec * static_cast<double>(Reference.Cycles);
-  std::printf("interpreter: %.0f simulated cycles/sec (%s, %llu cycles "
-              "per run)\n",
-              CyclesPerSec, Benchmark,
-              static_cast<unsigned long long>(Reference.Cycles));
+  std::vector<double> WindowNs;
+  for (unsigned W = 0; W != SimWindows; ++W) {
+    double Seconds = 0;
+    for (SuiteRun &R : Suite) {
+      ScopedTimer Timer(&globalMetrics().histogram("bench.measure_seconds"));
+      (void)runImage(R.Img);
+      double S = Timer.stop();
+      Seconds += S;
+      R.NsPerInstr.push_back(S * 1e9 / R.Instructions);
+    }
+    WindowNs.push_back(Seconds * 1e9 / SuiteInstructions);
+  }
+  double NsMedian = quantile(WindowNs, 0.5);
+  double NsQ1 = quantile(WindowNs, 0.25), NsQ3 = quantile(WindowNs, 0.75);
+  double CyclesPerSec = SuiteCycles / (NsMedian * 1e-9 * SuiteInstructions);
+  std::printf("interpreter: %.2f ns per simulated instruction (median of "
+              "%u windows, IQR %.2f-%.2f; %llu instructions per window "
+              "over %zu BEEBS O2 images), %.0f simulated cycles/sec\n",
+              NsMedian, SimWindows, NsQ1, NsQ3,
+              static_cast<unsigned long long>(SuiteInstructions),
+              Suite.size(), CyclesPerSec);
+  for (const SuiteRun &R : Suite)
+    std::printf("  %-14s %6.2f ns/instr (%llu instructions)\n", R.Name,
+                quantile(R.NsPerInstr, 0.5),
+                static_cast<unsigned long long>(R.Instructions));
 
   // --- device-axis configs/sec: full simulation vs recost ----------------
   // One "config" is one grid point of the device axis: measure the linked
@@ -162,12 +217,21 @@ int main() {
 
   JsonWriter W;
   W.beginObject();
-  W.field("schema", "ramloc-bench-sim-throughput-v1");
+  W.field("schema", "ramloc-bench-sim-throughput-v2");
+  W.field("sim_windows", static_cast<uint64_t>(SimWindows));
+  W.field("sim_instructions_per_window", SuiteInstructions);
+  W.field("sim_ns_per_instr", NsMedian);
+  W.field("sim_ns_per_instr_q1", NsQ1);
+  W.field("sim_ns_per_instr_q3", NsQ3);
+  W.field("sim_ns_per_instr_iqr", NsQ3 - NsQ1);
+  W.key("sim_ns_per_instr_by_benchmark").beginObject();
+  for (const SuiteRun &R : Suite)
+    W.field(R.Name, quantile(R.NsPerInstr, 0.5));
+  W.endObject();
+  W.field("sim_cycles_per_sec", CyclesPerSec);
   W.field("benchmark", Benchmark);
   W.field("repeat", Repeat);
   W.field("devices", static_cast<uint64_t>(Devices.size()));
-  W.field("cycles_per_run", Reference.Cycles);
-  W.field("sim_cycles_per_sec", CyclesPerSec);
   W.field("fullsim_configs_per_sec", FullsimConfigsPerSec);
   W.field("recost_configs_per_sec", RecostConfigsPerSec);
   W.field("recost_speedup", Speedup);

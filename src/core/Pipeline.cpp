@@ -10,7 +10,9 @@
 #include "mir/Verifier.h"
 #include "sim/ProfileCache.h"
 #include "support/Format.h"
+#include "support/Metrics.h"
 #include "support/Statistics.h"
+#include "support/Timer.h"
 #include "support/Trace.h"
 
 using namespace ramloc;
@@ -41,10 +43,25 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
     return Out;
   }
 
+  // Every full simulation records its wall time and simulated
+  // instructions: the interpreter's throughput in --metrics.
+  static Histogram &FullSimSeconds =
+      globalMetrics().histogram("sim.fullsim_seconds");
+  static Counter &SimInstructions = globalMetrics().counter("sim.instructions");
+  auto fullSim = [&](ExecutionProfile *Profile) {
+    TraceSpan Span("fullsim", "sim");
+    if (Profile)
+      Span.arg("profiled", "1");
+    ScopedTimer Timer(&FullSimSeconds);
+    Out.Stats = Profile ? runImageProfiled(LR.Img, Sim, *Profile)
+                        : runImage(LR.Img, Sim);
+    Timer.stop();
+    SimInstructions.add(Out.Stats.Instructions);
+  };
+
   // Power-profile sampling is timing-dependent output: always simulate.
   if (!Profiles || Sim.SampleIntervalCycles != 0) {
-    TraceSpan Span("fullsim", "sim");
-    Out.Stats = runImage(LR.Img, Sim);
+    fullSim(nullptr);
     Out.Energy = Power.integrate(Out.Stats);
     return Out;
   }
@@ -58,11 +75,9 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
     // device-independent profile every later device recosts from. The
     // owner must publish (null on a faulted run) or waiters block
     // forever, so publish on every path out.
-    TraceSpan Span("fullsim", "sim");
-    Span.arg("profiled", "1");
     auto Fresh = std::make_shared<ExecutionProfile>();
     try {
-      Out.Stats = runImageProfiled(LR.Img, Sim, *Fresh);
+      fullSim(Fresh.get());
     } catch (...) {
       Profiles->publish(Key, nullptr);
       throw;
@@ -81,8 +96,7 @@ Measurement ramloc::measureModule(const Module &M, const PowerModel &Power,
       // No usable profile (the profiling run faulted, or this timing
       // model would exceed the cycle budget): full simulation,
       // bit-identical by definition.
-      TraceSpan Span("fullsim", "sim");
-      Out.Stats = runImage(LR.Img, Sim);
+      fullSim(nullptr);
       Profiles->noteFullSim();
     }
   }

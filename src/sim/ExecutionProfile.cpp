@@ -38,40 +38,36 @@ RunStats ramloc::runImageProfiled(const Image &Img, const SimOptions &Opts,
   return Stats;
 }
 
-bool ramloc::recostProfile(const Image &Img,
-                           const ExecutionProfile &Profile,
-                           const SimOptions &Opts, RunStats &Out) {
-  // Sample boundaries depend on per-step cycle costs: timing-dependent
-  // output that only a full simulation can produce.
-  if (!Profile.Valid || Opts.SampleIntervalCycles != 0)
-    return false;
-  if (Profile.Instrs.size() != Img.Instrs.size())
-    return false;
-  if (Profile.BlockCounts.size() != Img.BlockAddr.size())
-    return false;
-  for (unsigned F = 0, NF = Img.BlockAddr.size(); F != NF; ++F)
-    if (Profile.BlockCounts[F].size() != Img.BlockAddr[F].size())
-      return false;
-
+bool ramloc::priceCounts(const Image &Img,
+                         std::span<const InstrCounts> Counts,
+                         const SimOptions &Opts, RunStats &Out) {
   const TimingModel &T = Opts.Timing;
-  RunStats RS;
-  RS.BlockCounts = Profile.BlockCounts;
-  RS.Instructions = Profile.Instructions;
-  RS.SleepEvents = Profile.SleepEvents;
-  RS.ExitCode = Profile.ExitCode;
-
   if (Opts.IncludeStartupCopy && Img.StartupCopyCycles > 0) {
-    RS.Cycles += Img.StartupCopyCycles;
-    RS.ClassCycles[0][static_cast<unsigned>(InstrClass::Load)] +=
+    // The boot loop runs from flash, streaming words from flash to RAM.
+    Out.Cycles += Img.StartupCopyCycles;
+    Out.ClassCycles[0][static_cast<unsigned>(InstrClass::Load)] +=
         Img.StartupCopyCycles;
-    RS.LoadCycles[0][0] += Img.StartupCopyCycles;
+    Out.LoadCycles[0][0] += Img.StartupCopyCycles;
   }
+  Out.Instructions = 0;
+  Out.SleepEvents = 0;
+  Out.BlockCounts.resize(Img.BlockAddr.size());
+  for (unsigned F = 0, NF = Img.BlockAddr.size(); F != NF; ++F)
+    Out.BlockCounts[F].assign(Img.BlockAddr[F].size(), 0);
 
   for (size_t I = 0, N = Img.Instrs.size(); I != N; ++I) {
-    const InstrCounts &C = Profile.Instrs[I];
-    if (C.Exec == 0 && C.Skipped == 0)
+    const InstrCounts &C = Counts[I];
+    uint64_t Steps = C.Exec + C.Skipped;
+    if (Steps == 0)
       continue;
     const PlacedInstr &P = Img.Instrs[I];
+    Out.Instructions += Steps;
+    if (P.IsBlockHead) {
+      if (P.FuncIdx >= Out.BlockCounts.size() ||
+          P.BlockIdx >= Out.BlockCounts[P.FuncIdx].size())
+        return false;
+      Out.BlockCounts[P.FuncIdx][P.BlockIdx] += Steps;
+    }
     unsigned F = static_cast<unsigned>(Img.Map.regionOf(P.Addr));
     unsigned Cls = static_cast<unsigned>(opClass(P.I.Kind));
     uint64_t Wait =
@@ -79,54 +75,62 @@ bool ramloc::recostProfile(const Image &Img,
     OpKind K = P.I.Kind;
     bool CondBranch =
         K == OpKind::BCond || K == OpKind::Cbz || K == OpKind::Cbnz;
-    bool IsLoad = Cls == static_cast<unsigned>(InstrClass::Load);
+    uint64_t Cyc = C.Skipped * (T.SkippedCycles + Wait);
 
-    if (IsLoad) {
-      // The simulator splits each load execution by its data memory and
-      // adds the RAM-port contention stall when a RAM fetch loads RAM.
+    if (Cls == static_cast<unsigned>(InstrClass::Load)) {
+      // Each load execution is split by its data memory, with the
+      // RAM-port contention stall when a RAM fetch loads RAM.
       if (C.LoadData[0] + C.LoadData[1] != C.Exec)
-        return false; // malformed profile
+        return false;
       for (unsigned D = 0; D != 2; ++D) {
-        uint64_t Count = C.LoadData[D];
-        if (Count == 0)
-          continue;
         uint64_t Per = T.cycles(P.I, /*Taken=*/false) + Wait;
         if (F == static_cast<unsigned>(MemKind::Ram) &&
             D == static_cast<unsigned>(MemKind::Ram)) {
           Per += T.RamContentionStall;
-          RS.ContentionStalls += Count * T.RamContentionStall;
+          Out.ContentionStalls += C.LoadData[D] * T.RamContentionStall;
         }
-        uint64_t Cyc = Count * Per;
-        RS.Cycles += Cyc;
-        RS.ClassCycles[F][Cls] += Cyc;
-        RS.LoadCycles[F][D] += Cyc;
+        Out.LoadCycles[F][D] += C.LoadData[D] * Per;
+        Cyc += C.LoadData[D] * Per;
       }
     } else if (CondBranch) {
       if (C.Taken > C.Exec)
-        return false; // malformed profile
-      uint64_t Cyc =
-          (C.Exec - C.Taken) * (T.cycles(P.I, /*Taken=*/false) + Wait) +
-          C.Taken * (T.cycles(P.I, /*Taken=*/true) + Wait);
-      RS.Cycles += Cyc;
-      RS.ClassCycles[F][Cls] += Cyc;
+        return false;
+      Cyc += (C.Exec - C.Taken) * (T.cycles(P.I, /*Taken=*/false) + Wait) +
+             C.Taken * (T.cycles(P.I, /*Taken=*/true) + Wait);
     } else {
-      // Unconditional control flow is accounted with Taken=true by the
-      // simulator; everything else with Taken=false (cycles() ignores the
-      // flag outside conditional branches either way).
+      // Unconditional control flow costs its taken figure; cycles()
+      // ignores the flag for everything else.
       bool Taken = K == OpKind::B || K == OpKind::Bl ||
                    K == OpKind::Blx || K == OpKind::Bx;
-      uint64_t Cyc = C.Exec * (T.cycles(P.I, Taken) + Wait);
-      RS.Cycles += Cyc;
-      RS.ClassCycles[F][Cls] += Cyc;
+      Cyc += C.Exec * (T.cycles(P.I, Taken) + Wait);
+      if (K == OpKind::Wfi)
+        Out.SleepEvents += C.Exec;
     }
-
-    if (C.Skipped > 0) {
-      uint64_t Cyc = C.Skipped * (T.SkippedCycles + Wait);
-      RS.Cycles += Cyc;
-      RS.ClassCycles[F][Cls] += Cyc;
-    }
-    RS.FlashWaitCycles += (C.Exec + C.Skipped) * Wait;
+    Out.Cycles += Cyc;
+    Out.ClassCycles[F][Cls] += Cyc;
+    Out.FlashWaitCycles += Steps * Wait;
   }
+  return true;
+}
+
+bool ramloc::recostProfile(const Image &Img,
+                           const ExecutionProfile &Profile,
+                           const SimOptions &Opts, RunStats &Out) {
+  // Sample boundaries depend on per-step cycle costs: timing-dependent
+  // output that only a full simulation can produce.
+  if (!Profile.Valid || Opts.SampleIntervalCycles != 0 ||
+      Profile.Instrs.size() != Img.Instrs.size())
+    return false;
+  RunStats RS;
+  if (!priceCounts(Img, Profile.Instrs, Opts, RS))
+    return false;
+  // The per-instruction counts determine the whole-run totals; a profile
+  // whose stored totals disagree is malformed.
+  if (RS.BlockCounts != Profile.BlockCounts ||
+      RS.Instructions != Profile.Instructions ||
+      RS.SleepEvents != Profile.SleepEvents)
+    return false;
+  RS.ExitCode = Profile.ExitCode;
 
   // A full simulation aborts when the running total reaches MaxCycles
   // before a step; totals at or under the budget can never have tripped

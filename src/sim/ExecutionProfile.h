@@ -6,28 +6,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The execute/recost split. The architectural instruction stream of a run
+/// Counting and pricing. The architectural instruction stream of a run
 /// depends only on (image, initial arguments): a TimingModel changes how
 /// many cycles each step costs and how they are attributed, never which
-/// instructions execute or what values they compute. So one simulation can
-/// record a device-independent ExecutionProfile — per-block execution
-/// counts plus, per static instruction, the dynamic facts timing cannot
-/// predict (condition-failed skips, taken conditional branches, load data
-/// memories) — and recostProfile() then derives the exact RunStats any
-/// TimingModel would have produced, in one pass over the static
-/// instructions instead of one pass over the dynamic trace. This is the
-/// trace-once/cost-many structure the paper's own Fb/Cb/Lb model implies:
-/// the campaign engine uses it to make the device axis of a grid nearly
-/// free (1 full simulation + N-1 recosts instead of N simulations).
+/// instructions execute or what values they compute. So a run records
+/// only device-independent counts — per static instruction, its
+/// executions, taken conditional branches, condition-failed skips and load
+/// data memories (InstrCounts) — and priceCounts() turns them into the
+/// RunStats any TimingModel produces, in one pass over the static
+/// instructions. This is the trace-once/cost-many structure the paper's
+/// own Fb/Cb/Lb model implies.
 ///
-/// Equivalence is exact, not approximate: every RunStats counter —
-/// Cycles, ClassCycles, LoadCycles, ContentionStalls, FlashWaitCycles,
-/// BlockCounts, ExitCode — matches direct simulation bit-for-bit, so
-/// downstream energy integration produces byte-identical reports.
-/// recostProfile() refuses (returns false) whenever equivalence cannot be
-/// guaranteed: an invalid profile, a run that would exceed the cycle
-/// budget under the new timing, or a request for timing-dependent output
-/// (power-profile samples); callers fall back to full simulation.
+/// Every full simulation prices its own counts this way at the end of the
+/// run, and recostProfile() prices a stored ExecutionProfile — the counts
+/// of an earlier run of the same image — the same way. The campaign engine
+/// uses the second to make the device axis of a grid nearly free (1 full
+/// simulation + N-1 recosts instead of N simulations). The two paths share
+/// one pricing function, so their RunStats — Cycles, ClassCycles,
+/// LoadCycles, ContentionStalls, FlashWaitCycles, BlockCounts, ExitCode —
+/// agree bit-for-bit and downstream energy integration produces
+/// byte-identical reports. recostProfile() refuses (returns false)
+/// whenever a recost cannot stand in for a run: an invalid profile, a run
+/// that would exceed the cycle budget under the new timing, or a request
+/// for timing-dependent output (power-profile samples); callers fall back
+/// to full simulation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +39,7 @@
 #include "sim/Simulator.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,24 +47,6 @@ namespace ramloc {
 
 class JsonValue;
 class JsonWriter;
-
-/// Dynamic facts about one static instruction that a TimingModel cannot
-/// predict. Everything else a recost needs (opcode, fetch memory, size,
-/// literal-pool slot) is static and read from the Image.
-struct InstrCounts {
-  /// Condition-passed executions (including taken branches).
-  uint64_t Exec = 0;
-  /// Taken executions of a conditional branch (BCond/Cbz/Cbnz); always
-  /// <= Exec, and 0 for every other opcode.
-  uint64_t Taken = 0;
-  /// Predicated executions whose condition failed (one skipped cycle).
-  uint64_t Skipped = 0;
-  /// Load executions split by data memory [flash, RAM]. For loads the two
-  /// sum to Exec; 0 for non-loads.
-  uint64_t LoadData[2] = {0, 0};
-
-  bool operator==(const InstrCounts &O) const = default;
-};
 
 /// One run's device-independent execution record, parallel to
 /// Image::Instrs. Collected by runImageProfiled(); consumed by
@@ -95,6 +80,16 @@ std::string executionKey(const Image &Img, uint32_t Arg0 = 0,
 RunStats runImageProfiled(const Image &Img, const SimOptions &Opts,
                           ExecutionProfile &Profile, uint32_t Arg0 = 0,
                           uint32_t Arg1 = 0, uint32_t Arg2 = 0);
+
+/// Prices \p Counts (parallel to Img.Instrs) under \p Opts: adds the
+/// startup copy and every instruction's cycles to Out's cycle totals and
+/// attribution matrices, and sets Instructions, SleepEvents and
+/// BlockCounts (each block's head instruction, executed or skipped).
+/// Leaves ExitCode, Error, HitCycleLimit and Samples alone. Returns false
+/// on counts no run can produce (a load whose data memories do not sum to
+/// its executions, more taken than executed branches).
+bool priceCounts(const Image &Img, std::span<const InstrCounts> Counts,
+                 const SimOptions &Opts, RunStats &Out);
 
 /// Derives the RunStats a full simulation of \p Img under \p Opts would
 /// produce, from \p Profile, in O(#static instructions). Returns false —

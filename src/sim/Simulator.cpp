@@ -10,7 +10,9 @@
 #include "sim/ExecutionProfile.h"
 #include "support/Format.h"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 using namespace ramloc;
 
@@ -33,6 +35,26 @@ AddResult addWithCarry(uint32_t A, uint32_t B, bool CarryIn) {
           Signed != static_cast<int32_t>(Result)};
 }
 
+/// Simulated memory is little-endian: on a little-endian host an access
+/// is one memcpy.
+template <typename T> T loadLE(const uint8_t *P) {
+  T V = 0;
+  if constexpr (std::endian::native == std::endian::little)
+    std::memcpy(&V, P, sizeof(T));
+  else
+    for (unsigned B = 0; B != sizeof(T); ++B)
+      V |= static_cast<T>(static_cast<T>(P[B]) << (8 * B));
+  return V;
+}
+
+template <typename T> void storeLE(uint8_t *P, T V) {
+  if constexpr (std::endian::native == std::endian::little)
+    std::memcpy(P, &V, sizeof(T));
+  else
+    for (unsigned B = 0; B != sizeof(T); ++B)
+      P[B] = static_cast<uint8_t>(V >> (8 * B));
+}
+
 } // namespace
 
 std::map<std::string, uint64_t> RunStats::profileMap(const Module &M) const {
@@ -48,127 +70,99 @@ std::map<std::string, uint64_t> RunStats::profileMap(const Module &M) const {
 
 Simulator::Simulator(const Image &Img, const SimOptions &Opts)
     : Img(Img), Opts(Opts), Dec(predecodeImage(Img, Opts.Timing)),
-      Ram(Img.RamBytes) {
+      Limit(Opts.MaxCycles), Ram(Img.RamBytes) {
+  assert(Ram.size() == Img.Map.RamSize && "RAM image must fill RAM");
   State.R[SP] = Img.Map.stackTop();
   State.R[LR] = ExitAddress;
   PcAddr = Img.EntryAddr;
-  Stats.BlockCounts.resize(Img.BlockAddr.size());
-  for (unsigned F = 0, NF = Img.BlockAddr.size(); F != NF; ++F)
-    Stats.BlockCounts[F].assign(Img.BlockAddr[F].size(), 0);
-
-  if (Opts.IncludeStartupCopy && Img.StartupCopyCycles > 0) {
-    // The boot loop runs from flash, streaming words from flash to RAM.
-    Stats.Cycles += Img.StartupCopyCycles;
-    Stats.ClassCycles[0][static_cast<unsigned>(InstrClass::Load)] +=
-        Img.StartupCopyCycles;
-    Stats.LoadCycles[0][0] += Img.StartupCopyCycles;
-  }
+  int Entry = Img.instrIndexAt(Img.EntryAddr);
+  Idx = Entry < 0 ? Unresolved : static_cast<uint32_t>(Entry);
+  // The boot loop runs from flash, streaming words from flash to RAM;
+  // pricing attributes it, the running total must include it.
+  if (Opts.IncludeStartupCopy)
+    Cycles = Img.StartupCopyCycles;
 }
 
 void Simulator::collectProfile(ExecutionProfile &P) {
-  Prof = &P;
   P = ExecutionProfile{};
   P.Instrs.assign(Img.Instrs.size(), InstrCounts{});
+  Counts = P.Instrs.data();
 }
 
 void Simulator::fault(const std::string &Msg) {
   if (Stats.Error.empty())
     Stats.Error = Msg;
   Halted = true;
+  Limit = 0;
 }
 
 void Simulator::halt() {
   Stats.ExitCode = State.R[R0];
   Halted = true;
+  Limit = 0;
   if (Opts.SampleIntervalCycles != 0 && CurSample.Cycles > 0) {
     Stats.Samples.push_back(CurSample); // short tail interval
     CurSample = PowerSample{};
   }
 }
 
-bool Simulator::checkAddr(uint32_t Addr, uint32_t Bytes, bool Write) {
-  if (Img.Map.inRam(Addr) &&
-      Addr + Bytes <= Img.Map.RamBase + Img.Map.RamSize)
-    return true;
-  if (!Write && Img.Map.inFlash(Addr) &&
-      Addr + Bytes <= Img.Map.FlashBase + Img.Map.FlashSize)
-    return true;
+void Simulator::accessFault(uint32_t Addr, bool Write) {
   fault(formatString("%s fault at 0x%08x (pc=0x%08x)",
-                     Write ? "write" : "read", Addr, PcAddr));
-  return false;
+                     Write ? "write" : "read", Addr, Img.Instrs[Idx].Addr));
 }
 
-uint32_t Simulator::read32(uint32_t Addr) {
-  if (!checkAddr(Addr, 4, /*Write=*/false))
-    return 0;
-  const uint8_t *P;
-  if (Img.Map.inRam(Addr))
-    P = &Ram[Addr - Img.Map.RamBase];
+template <typename T> uint32_t Simulator::read(uint32_t Addr) {
+  if (const uint8_t *P = ramAt(Addr, sizeof(T)))
+    return loadLE<T>(P);
+  uint32_t Off = Addr - Img.Map.FlashBase;
+  if (static_cast<uint64_t>(Off) + sizeof(T) <= Img.Map.FlashSize)
+    return loadLE<T>(&Img.FlashBytes[Off]);
+  accessFault(Addr, /*Write=*/false);
+  return 0;
+}
+
+template <typename T> void Simulator::write(uint32_t Addr, uint32_t Value) {
+  if (uint8_t *P = ramAt(Addr, sizeof(T)))
+    storeLE<T>(P, static_cast<T>(Value));
   else
-    P = &Img.FlashBytes[Addr - Img.Map.FlashBase];
-  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
-         (static_cast<uint32_t>(P[2]) << 16) |
-         (static_cast<uint32_t>(P[3]) << 24);
+    accessFault(Addr, /*Write=*/true); // flash is read-only
 }
 
-uint16_t Simulator::read16(uint32_t Addr) {
-  if (!checkAddr(Addr, 2, /*Write=*/false))
-    return 0;
-  const uint8_t *P;
-  if (Img.Map.inRam(Addr))
-    P = &Ram[Addr - Img.Map.RamBase];
-  else
-    P = &Img.FlashBytes[Addr - Img.Map.FlashBase];
-  return static_cast<uint16_t>(P[0] | (P[1] << 8));
-}
-
-uint8_t Simulator::read8(uint32_t Addr) {
-  if (!checkAddr(Addr, 1, /*Write=*/false))
-    return 0;
-  if (Img.Map.inRam(Addr))
-    return Ram[Addr - Img.Map.RamBase];
-  return Img.FlashBytes[Addr - Img.Map.FlashBase];
-}
-
-void Simulator::write32(uint32_t Addr, uint32_t Value) {
-  if (!checkAddr(Addr, 4, /*Write=*/true))
+void Simulator::jump(uint32_t Addr) {
+  Addr &= ~1u; // ignore the Thumb bit
+  if (Addr == ExitAddress) {
+    halt();
     return;
-  uint8_t *P = &Ram[Addr - Img.Map.RamBase];
-  P[0] = static_cast<uint8_t>(Value);
-  P[1] = static_cast<uint8_t>(Value >> 8);
-  P[2] = static_cast<uint8_t>(Value >> 16);
-  P[3] = static_cast<uint8_t>(Value >> 24);
+  }
+  int I = Img.instrIndexAt(Addr);
+  Idx = I < 0 ? Unresolved : static_cast<uint32_t>(I);
+  PcAddr = Addr;
 }
 
-void Simulator::write16(uint32_t Addr, uint16_t Value) {
-  if (!checkAddr(Addr, 2, /*Write=*/true))
+void Simulator::stop() {
+  if (Halted)
     return;
-  uint8_t *P = &Ram[Addr - Img.Map.RamBase];
-  P[0] = static_cast<uint8_t>(Value);
-  P[1] = static_cast<uint8_t>(Value >> 8);
-}
-
-void Simulator::write8(uint32_t Addr, uint8_t Value) {
-  if (!checkAddr(Addr, 1, /*Write=*/true))
+  if (Cycles >= Opts.MaxCycles) {
+    Stats.HitCycleLimit = true;
+    fault("cycle limit exceeded");
     return;
-  Ram[Addr - Img.Map.RamBase] = Value;
+  }
+  // A fall-through with no successor names its instruction past the
+  // table; a run-time jump left its address in PcAddr.
+  uint32_t Addr =
+      Idx == Unresolved ? PcAddr : Dec[Idx - Dec.size()].NextAddr;
+  fault(formatString("fetch fault at 0x%08x", Addr));
 }
 
-void Simulator::book(const DecodedInstr &D, unsigned Cycles, bool IsLoad,
-                     unsigned DataMem) {
-  // Flash wait states are pre-added to the decoded cycle costs; only the
-  // attribution counter remains per-step.
-  Stats.FlashWaitCycles += D.FlashWait;
-  Stats.Cycles += Cycles;
-  Stats.ClassCycles[D.Fetch][D.Class] += Cycles;
-  if (IsLoad)
-    Stats.LoadCycles[D.Fetch][DataMem] += Cycles;
-
-  if (Opts.SampleIntervalCycles != 0) {
-    CurSample.Cycles += Cycles;
-    CurSample.ClassCycles[D.Fetch][D.Class] += Cycles;
+template <bool Sampled>
+inline void Simulator::charge(const DecodedInstr &D, uint32_t Cyc,
+                              bool IsLoad, unsigned DataMem) {
+  Cycles += Cyc;
+  if constexpr (Sampled) {
+    CurSample.Cycles += Cyc;
+    CurSample.ClassCycles[D.Fetch][D.Class] += Cyc;
     if (IsLoad)
-      CurSample.LoadCycles[D.Fetch][DataMem] += Cycles;
+      CurSample.LoadCycles[D.Fetch][DataMem] += Cyc;
     if (CurSample.Cycles >= Opts.SampleIntervalCycles) {
       Stats.Samples.push_back(CurSample);
       CurSample = PowerSample{};
@@ -176,289 +170,175 @@ void Simulator::book(const DecodedInstr &D, unsigned Cycles, bool IsLoad,
   }
 }
 
-void Simulator::account(const DecodedInstr &D, unsigned Cycles, bool IsLoad,
-                        unsigned DataMem, bool TakenBranch) {
-  if (IsLoad && DataMem == static_cast<unsigned>(MemKind::Ram) &&
-      D.ContentionStall != 0) {
-    // Fetch and data contend for the single RAM port (the model's Lb).
-    Cycles += D.ContentionStall;
-    Stats.ContentionStalls += D.ContentionStall;
-  }
-  book(D, Cycles, IsLoad, DataMem);
-
-  if (Prof) {
-    InstrCounts &C = Prof->Instrs[CurIdx];
-    ++C.Exec;
-    if (TakenBranch)
-      ++C.Taken;
-    if (IsLoad)
-      ++C.LoadData[DataMem];
-  }
+template <bool Sampled>
+inline void Simulator::chargeLoad(const DecodedInstr &D, InstrCounts &C,
+                                  unsigned DataMem) {
+  // Fetch and data contend for the single RAM port (the model's Lb).
+  ++C.LoadData[DataMem];
+  charge<Sampled>(D, D.CyclesNotTaken + (DataMem ? D.ContentionStall : 0),
+                  /*IsLoad=*/true, DataMem);
 }
 
-void Simulator::branchTo(uint32_t Addr) {
-  Addr &= ~1u; // ignore the Thumb bit
-  if (Addr == ExitAddress) {
-    halt();
+template <bool Sampled, typename T>
+inline void Simulator::load(const DecodedInstr &D, InstrCounts &C,
+                            uint32_t Addr) {
+  chargeLoad<Sampled>(D, C, Img.Map.inRam(Addr));
+  reg(D.Regs[0]) = read<T>(Addr);
+  Idx = D.Next;
+}
+
+template <bool Sampled, typename T>
+inline void Simulator::store(const DecodedInstr &D, uint32_t Addr) {
+  charge<Sampled>(D, D.CyclesNotTaken);
+  write<T>(Addr, reg(D.Regs[0]));
+  Idx = D.Next;
+}
+
+template <bool Sampled>
+inline void Simulator::step(const DecodedInstr &D) {
+  InstrCounts &C = Counts[Idx];
+  // Predicated non-branch instruction whose condition fails: one skipped
+  // cycle (plus the fetch's wait states), no architectural effect.
+  if (D.CheckCond && !passes(D)) {
+    ++C.Skipped;
+    charge<Sampled>(D, D.CyclesSkipped);
+    Idx = D.Next;
     return;
   }
-  PcAddr = Addr;
-}
+  ++C.Exec;
 
-bool Simulator::step() {
-  if (Halted)
-    return false;
-  if (Stats.Cycles >= Opts.MaxCycles) {
-    Stats.HitCycleLimit = true;
-    fault("cycle limit exceeded");
-    return false;
-  }
-
-  int Idx = Img.instrIndexAt(PcAddr);
-  if (Idx < 0) {
-    fault(formatString("fetch fault at 0x%08x", PcAddr));
-    return false;
-  }
-  CurIdx = static_cast<uint32_t>(Idx);
-  const DecodedInstr &D = Dec[CurIdx];
-  if (D.IsBlockHead)
-    ++Stats.BlockCounts[D.FuncIdx][D.BlockIdx];
-  ++Stats.Instructions;
-
-  // Predicated non-branch instruction whose condition fails: one skipped
-  // cycle, no architectural effect.
-  if (D.CheckCond && !condPasses(D.CondCode, State.F)) {
-    if (Prof)
-      ++Prof->Instrs[CurIdx].Skipped;
-    // The skip costs one cycle (plus the fetch's wait states) against the
-    // instruction's own class; no load/contention side effects.
-    book(D, D.CyclesSkipped, /*IsLoad=*/false, 0);
-    PcAddr = D.NextAddr;
-    return !Halted;
-  }
-
-  execute(D);
-  return !Halted;
-}
-
-void Simulator::run() {
-  while (step())
-    ;
-}
-
-void Simulator::execute(const DecodedInstr &D) {
-  const Instr &I = D.P->I;
+  const uint32_t Rn = reg(D.Regs[1]);
+  const uint32_t Rm = reg(D.Regs[2]);
+  const uint32_t Imm = static_cast<uint32_t>(D.Imm);
+  uint32_t Result = 0;
+  bool WroteResult = true;
+  // C and V stay as they are unless an add/subtract produces new ones.
+  AddResult Arith = {0, State.F.C, State.F.V};
+  auto arith = [&](uint32_t A, uint32_t B, bool CarryIn) {
+    Arith = addWithCarry(A, B, CarryIn);
+    return Arith.Value;
+  };
 
   switch (D.Kind) {
   // --- control flow -------------------------------------------------------
   case OpKind::B:
-    account(D, D.CyclesTaken, false, 0);
-    branchTo(D.TargetAddr);
+    charge<Sampled>(D, D.CyclesTaken);
+    takeBranch(D);
     return;
-  case OpKind::BCond: {
-    bool Taken = condPasses(D.CondCode, State.F);
-    account(D, Taken ? D.CyclesTaken : D.CyclesNotTaken, false, 0, Taken);
-    if (Taken)
-      branchTo(D.TargetAddr);
-    else
-      PcAddr = D.NextAddr;
-    return;
-  }
+  case OpKind::BCond:
   case OpKind::Cbz:
   case OpKind::Cbnz: {
-    bool Zero = reg(I.Regs[0]) == 0;
-    bool Taken = D.Kind == OpKind::Cbz ? Zero : !Zero;
-    account(D, Taken ? D.CyclesTaken : D.CyclesNotTaken, false, 0, Taken);
-    if (Taken)
-      branchTo(D.TargetAddr);
-    else
-      PcAddr = D.NextAddr;
+    bool Taken = D.Kind == OpKind::BCond
+                     ? passes(D)
+                     : (reg(D.Regs[0]) == 0) == (D.Kind == OpKind::Cbz);
+    if (Taken) {
+      ++C.Taken;
+      charge<Sampled>(D, D.CyclesTaken);
+      takeBranch(D);
+    } else {
+      charge<Sampled>(D, D.CyclesNotTaken);
+      Idx = D.Next;
+    }
     return;
   }
   case OpKind::Bl:
-    account(D, D.CyclesTaken, false, 0);
+    charge<Sampled>(D, D.CyclesTaken);
     reg(LR) = D.NextAddr;
-    branchTo(D.TargetAddr);
+    takeBranch(D);
     return;
   case OpKind::Blx: {
-    account(D, D.CyclesTaken, false, 0);
-    uint32_t Target = reg(I.Regs[0]);
+    charge<Sampled>(D, D.CyclesTaken);
+    uint32_t Target = reg(D.Regs[0]);
     reg(LR) = D.NextAddr;
-    branchTo(Target);
+    jump(Target);
     return;
   }
   case OpKind::Bx:
-    account(D, D.CyclesTaken, false, 0);
-    branchTo(reg(I.Regs[0]));
+    charge<Sampled>(D, D.CyclesTaken);
+    jump(reg(D.Regs[0]));
     return;
   case OpKind::It:
   case OpKind::Nop:
-    account(D, D.CyclesNotTaken, false, 0);
-    PcAddr = D.NextAddr;
-    return;
   case OpKind::Wfi:
-    ++Stats.SleepEvents;
-    account(D, D.CyclesNotTaken, false, 0);
-    PcAddr = D.NextAddr;
+    charge<Sampled>(D, D.CyclesNotTaken);
+    Idx = D.Next;
     return;
   case OpKind::Bkpt:
-    account(D, D.CyclesNotTaken, false, 0);
+    charge<Sampled>(D, D.CyclesNotTaken);
     halt();
     return;
 
   // --- memory -------------------------------------------------------------
   case OpKind::LdrImm:
+    return load<Sampled, uint32_t>(D, C, Rn + Imm);
   case OpKind::LdrReg:
-  case OpKind::StrImm:
-  case OpKind::StrReg:
+    return load<Sampled, uint32_t>(D, C, Rn + Rm);
   case OpKind::LdrbImm:
+    return load<Sampled, uint8_t>(D, C, Rn + Imm);
   case OpKind::LdrbReg:
-  case OpKind::StrbImm:
-  case OpKind::StrbReg:
+    return load<Sampled, uint8_t>(D, C, Rn + Rm);
   case OpKind::LdrhImm:
-  case OpKind::StrhImm:
-  case OpKind::LdrLit:
-  case OpKind::Push:
-  case OpKind::Pop:
-    executeMem(D);
-    return;
-
-  default:
-    executeAlu(D);
-    return;
-  }
-}
-
-void Simulator::executeMem(const DecodedInstr &D) {
-  const Instr &I = D.P->I;
-  uint32_t Rt = reg(I.Regs[0]);
-  uint32_t Base = reg(I.Regs[1]);
-
-  auto effectiveAddr = [&](bool RegForm) {
-    return RegForm ? Base + reg(I.Regs[2])
-                   : Base + static_cast<uint32_t>(I.Imm);
-  };
-  auto dataMem = [&](uint32_t Addr) {
-    return static_cast<unsigned>(
-        Img.Map.isMapped(Addr) ? Img.Map.regionOf(Addr) : MemKind::Flash);
-  };
-
-  switch (D.Kind) {
-  case OpKind::LdrImm:
-  case OpKind::LdrReg: {
-    uint32_t EA = effectiveAddr(D.Kind == OpKind::LdrReg);
-    account(D, D.CyclesNotTaken, /*IsLoad=*/true, dataMem(EA));
-    reg(I.Regs[0]) = read32(EA);
-    break;
-  }
-  case OpKind::LdrbImm:
-  case OpKind::LdrbReg: {
-    uint32_t EA = effectiveAddr(D.Kind == OpKind::LdrbReg);
-    account(D, D.CyclesNotTaken, true, dataMem(EA));
-    reg(I.Regs[0]) = read8(EA);
-    break;
-  }
-  case OpKind::LdrhImm: {
-    uint32_t EA = effectiveAddr(false);
-    account(D, D.CyclesNotTaken, true, dataMem(EA));
-    reg(I.Regs[0]) = read16(EA);
-    break;
-  }
+    return load<Sampled, uint16_t>(D, C, Rn + Imm);
   case OpKind::StrImm:
-  case OpKind::StrReg: {
-    uint32_t EA = effectiveAddr(D.Kind == OpKind::StrReg);
-    account(D, D.CyclesNotTaken, false, dataMem(EA));
-    write32(EA, Rt);
-    break;
-  }
+    return store<Sampled, uint32_t>(D, Rn + Imm);
+  case OpKind::StrReg:
+    return store<Sampled, uint32_t>(D, Rn + Rm);
   case OpKind::StrbImm:
-  case OpKind::StrbReg: {
-    uint32_t EA = effectiveAddr(D.Kind == OpKind::StrbReg);
-    account(D, D.CyclesNotTaken, false, dataMem(EA));
-    write8(EA, static_cast<uint8_t>(Rt));
-    break;
-  }
-  case OpKind::StrhImm: {
-    uint32_t EA = effectiveAddr(false);
-    account(D, D.CyclesNotTaken, false, dataMem(EA));
-    write16(EA, static_cast<uint16_t>(Rt));
-    break;
-  }
+    return store<Sampled, uint8_t>(D, Rn + Imm);
+  case OpKind::StrbReg:
+    return store<Sampled, uint8_t>(D, Rn + Rm);
+  case OpKind::StrhImm:
+    return store<Sampled, uint16_t>(D, Rn + Imm);
   case OpKind::LdrLit: {
     // The pool slot was resolved by the linker; its memory determines the
     // data-side power (RAM code with flash pools is the expensive Figure 1
     // case; our pools co-locate with the code, so RAM code pools are RAM).
-    uint32_t Value = read32(D.TargetAddr);
-    account(D, D.CyclesNotTaken, true, dataMem(D.TargetAddr));
-    if (I.Regs[0] == PC) {
-      branchTo(Value);
-      return;
-    }
-    reg(I.Regs[0]) = Value;
-    break;
+    if (D.Regs[0] != PC)
+      return load<Sampled, uint32_t>(D, C, D.TargetAddr);
+    chargeLoad<Sampled>(D, C, Img.Map.inRam(D.TargetAddr));
+    jump(read<uint32_t>(D.TargetAddr));
+    return;
   }
   case OpKind::Push: {
-    uint32_t Mask = static_cast<uint32_t>(I.Imm);
-    unsigned Count = regMaskCount(Mask);
-    uint32_t Addr = reg(SP) - 4 * Count;
-    account(D, D.CyclesNotTaken, false,
-            static_cast<unsigned>(MemKind::Ram));
+    uint32_t Mask = Imm;
+    uint32_t Addr = reg(SP) - 4 * std::popcount(Mask);
+    charge<Sampled>(D, D.CyclesNotTaken);
     reg(SP) = Addr;
     for (unsigned R = 0; R < 16; ++R) {
       if (!(Mask & (1u << R)))
         continue;
-      write32(Addr, State.R[R]);
+      write<uint32_t>(Addr, State.R[R]);
       Addr += 4;
     }
-    break;
+    Idx = D.Next;
+    return;
   }
   case OpKind::Pop: {
-    uint32_t Mask = static_cast<uint32_t>(I.Imm);
-    account(D, D.CyclesNotTaken, /*IsLoad=*/true,
-            static_cast<unsigned>(MemKind::Ram));
+    uint32_t Mask = Imm;
+    chargeLoad<Sampled>(D, C, static_cast<unsigned>(MemKind::Ram));
     uint32_t Addr = reg(SP);
     uint32_t NewPC = 0;
-    bool HasPC = false;
     for (unsigned R = 0; R < 16; ++R) {
       if (!(Mask & (1u << R)))
         continue;
-      uint32_t V = read32(Addr);
+      uint32_t V = read<uint32_t>(Addr);
       Addr += 4;
-      if (R == PC) {
+      if (R == PC)
         NewPC = V;
-        HasPC = true;
-      } else {
+      else
         State.R[R] = V;
-      }
     }
     reg(SP) = Addr;
-    if (HasPC) {
-      branchTo(NewPC);
-      return;
-    }
-    break;
+    if (Mask & (1u << PC))
+      jump(NewPC);
+    else
+      Idx = D.Next;
+    return;
   }
-  default:
-    assert(false && "not a memory opcode");
-  }
-  PcAddr = D.NextAddr;
-}
 
-void Simulator::executeAlu(const DecodedInstr &D) {
-  const Instr &I = D.P->I;
-  account(D, D.CyclesNotTaken, false, 0);
-
-  uint32_t Rn = reg(I.Regs[1]);
-  uint32_t RmV = reg(I.Regs[2]);
-  uint32_t ImmU = static_cast<uint32_t>(I.Imm);
-  uint32_t Result = 0;
-  bool WroteResult = true;
-  bool UpdateCV = false;
-  bool NewC = State.F.C, NewV = State.F.V;
-
-  switch (D.Kind) {
+  // --- data processing ----------------------------------------------------
   case OpKind::MovImm:
-    Result = ImmU;
+    Result = Imm;
     break;
   case OpKind::MovReg:
     Result = Rn; // Regs[1] = rm for mov
@@ -466,74 +346,39 @@ void Simulator::executeAlu(const DecodedInstr &D) {
   case OpKind::Mvn:
     Result = ~Rn;
     break;
-  case OpKind::AddImm: {
-    AddResult A = addWithCarry(Rn, ImmU, false);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::AddImm:
+    Result = arith(Rn, Imm, false);
     break;
-  }
-  case OpKind::AddReg: {
-    AddResult A = addWithCarry(Rn, RmV, false);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::AddReg:
+    Result = arith(Rn, Rm, false);
     break;
-  }
-  case OpKind::SubImm: {
-    AddResult A = addWithCarry(Rn, ~ImmU, true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::SubImm:
+    Result = arith(Rn, ~Imm, true);
     break;
-  }
-  case OpKind::SubReg: {
-    AddResult A = addWithCarry(Rn, ~RmV, true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::SubReg:
+    Result = arith(Rn, ~Rm, true);
     break;
-  }
-  case OpKind::Rsb: {
-    AddResult A = addWithCarry(~Rn, ImmU, true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::Rsb:
+    Result = arith(~Rn, Imm, true);
     break;
-  }
-  case OpKind::Adc: {
-    AddResult A = addWithCarry(Rn, RmV, State.F.C);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::Adc:
+    Result = arith(Rn, Rm, State.F.C);
     break;
-  }
-  case OpKind::Sbc: {
-    AddResult A = addWithCarry(Rn, ~RmV, State.F.C);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::Sbc:
+    Result = arith(Rn, ~Rm, State.F.C);
     break;
-  }
   case OpKind::Mul:
-    Result = Rn * RmV;
+    Result = Rn * Rm;
     break;
   case OpKind::Mla:
-    Result = Rn * RmV + reg(I.Regs[3]);
+    Result = Rn * Rm + reg(D.Regs[3]);
     break;
   case OpKind::Udiv:
-    Result = RmV == 0 ? 0 : Rn / RmV;
+    Result = Rm == 0 ? 0 : Rn / Rm;
     break;
   case OpKind::Sdiv: {
     int32_t N = static_cast<int32_t>(Rn);
-    int32_t Dv = static_cast<int32_t>(RmV);
+    int32_t Dv = static_cast<int32_t>(Rm);
     if (Dv == 0)
       Result = 0;
     else if (N == INT32_MIN && Dv == -1)
@@ -543,53 +388,52 @@ void Simulator::executeAlu(const DecodedInstr &D) {
     break;
   }
   case OpKind::AndReg:
-    Result = Rn & RmV;
+    Result = Rn & Rm;
     break;
   case OpKind::OrrReg:
-    Result = Rn | RmV;
+    Result = Rn | Rm;
     break;
   case OpKind::EorReg:
-    Result = Rn ^ RmV;
+    Result = Rn ^ Rm;
     break;
   case OpKind::BicReg:
-    Result = Rn & ~RmV;
+    Result = Rn & ~Rm;
     break;
   case OpKind::AndImm:
-    Result = Rn & ImmU;
+    Result = Rn & Imm;
     break;
   case OpKind::OrrImm:
-    Result = Rn | ImmU;
+    Result = Rn | Imm;
     break;
   case OpKind::EorImm:
-    Result = Rn ^ ImmU;
+    Result = Rn ^ Imm;
     break;
   case OpKind::BicImm:
-    Result = Rn & ~ImmU;
+    Result = Rn & ~Imm;
     break;
   case OpKind::LslImm:
-    Result = ImmU == 0 ? Rn : Rn << (ImmU & 31);
+    Result = Imm == 0 ? Rn : Rn << (Imm & 31);
     break;
   case OpKind::LsrImm:
-    Result = ImmU >= 32 ? 0 : Rn >> ImmU;
+    Result = Imm >= 32 ? 0 : Rn >> Imm;
     break;
   case OpKind::AsrImm:
-    Result = ImmU >= 32
+    Result = Imm >= 32
                  ? (static_cast<int32_t>(Rn) < 0 ? 0xFFFFFFFFu : 0)
-                 : static_cast<uint32_t>(static_cast<int32_t>(Rn) >>
-                                         ImmU);
+                 : static_cast<uint32_t>(static_cast<int32_t>(Rn) >> Imm);
     break;
   case OpKind::LslReg: {
-    uint32_t Amt = RmV & 0xFF;
+    uint32_t Amt = Rm & 0xFF;
     Result = Amt >= 32 ? 0 : Rn << Amt;
     break;
   }
   case OpKind::LsrReg: {
-    uint32_t Amt = RmV & 0xFF;
+    uint32_t Amt = Rm & 0xFF;
     Result = Amt >= 32 ? 0 : Rn >> Amt;
     break;
   }
   case OpKind::AsrReg: {
-    uint32_t Amt = RmV & 0xFF;
+    uint32_t Amt = Rm & 0xFF;
     if (Amt >= 32)
       Result = static_cast<int32_t>(Rn) < 0 ? 0xFFFFFFFFu : 0;
     else
@@ -597,30 +441,20 @@ void Simulator::executeAlu(const DecodedInstr &D) {
     break;
   }
   case OpKind::RorReg: {
-    uint32_t Amt = RmV & 31;
+    uint32_t Amt = Rm & 31;
     Result = Amt == 0 ? Rn : (Rn >> Amt) | (Rn << (32 - Amt));
     break;
   }
-  case OpKind::CmpImm: {
-    AddResult A = addWithCarry(reg(I.Regs[0]), ~ImmU, true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::CmpImm:
+    Result = arith(reg(D.Regs[0]), ~Imm, true);
     WroteResult = false;
     break;
-  }
-  case OpKind::CmpReg: {
-    AddResult A = addWithCarry(reg(I.Regs[0]), ~reg(I.Regs[1]), true);
-    Result = A.Value;
-    NewC = A.C;
-    NewV = A.V;
-    UpdateCV = true;
+  case OpKind::CmpReg:
+    Result = arith(reg(D.Regs[0]), ~Rn, true); // Regs[1] = rm for cmp
     WroteResult = false;
     break;
-  }
   case OpKind::Tst:
-    Result = reg(I.Regs[0]) & reg(I.Regs[1]);
+    Result = reg(D.Regs[0]) & Rn;
     WroteResult = false;
     break;
   case OpKind::Uxtb:
@@ -637,21 +471,38 @@ void Simulator::executeAlu(const DecodedInstr &D) {
     Result = static_cast<uint32_t>(
         static_cast<int32_t>(static_cast<int16_t>(Rn & 0xFFFF)));
     break;
-  default:
-    assert(false && "not an ALU opcode");
   }
 
+  charge<Sampled>(D, D.CyclesNotTaken);
   if (WroteResult)
-    reg(I.Regs[0]) = Result;
-  if (I.SetsFlags) {
+    reg(D.Regs[0]) = Result;
+  if (D.SetsFlags) {
     State.F.N = (Result >> 31) != 0;
     State.F.Z = Result == 0;
-    if (UpdateCV) {
-      State.F.C = NewC;
-      State.F.V = NewV;
-    }
+    State.F.C = Arith.C;
+    State.F.V = Arith.V;
   }
-  PcAddr = D.NextAddr;
+  Idx = D.Next;
+}
+
+void Simulator::run() {
+  const size_t N = Dec.size();
+  if (!Counts) {
+    OwnCounts.assign(N, InstrCounts{});
+    Counts = OwnCounts.data();
+  }
+  if (Opts.SampleIntervalCycles != 0)
+    while (Cycles < Limit && Idx < N)
+      step<true>(Dec[Idx]);
+  else
+    while (Cycles < Limit && Idx < N)
+      step<false>(Dec[Idx]);
+  stop();
+
+  [[maybe_unused]] bool Priced =
+      priceCounts(Img, std::span<const InstrCounts>(Counts, N), Opts, Stats);
+  assert(Priced && Stats.Cycles == Cycles &&
+         "pricing disagrees with the running cycle total");
 }
 
 RunStats ramloc::runImage(const Image &Img, const SimOptions &Opts,

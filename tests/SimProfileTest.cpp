@@ -7,7 +7,9 @@
 // derived by recosting a shared ExecutionProfile must equal direct
 // simulation on EVERY counter, for every registry device (wait-stated
 // parts included), across the whole BEEBS suite — plus round-trip checks
-// for the predecoded dispatch table and the profile serialization.
+// for the predecoded dispatch table and the profile serialization, and a
+// golden oracle of recorded RunStats digests that both paths must
+// reproduce.
 //
 //===----------------------------------------------------------------------===//
 
@@ -255,11 +257,15 @@ TEST(Predecode, RoundTripsAgainstTheRawInstructionStream) {
   DecodedImage Dec = predecodeImage(Img, T);
   ASSERT_EQ(Dec.size(), Img.Instrs.size());
 
+  const uint32_t N = static_cast<uint32_t>(Dec.size());
+  auto indexAt = [&Img](uint32_t Addr) {
+    int I = Img.instrIndexAt(Addr);
+    return I < 0 ? Unresolved : static_cast<uint32_t>(I);
+  };
   bool SawRamFetch = false;
-  for (size_t I = 0; I != Dec.size(); ++I) {
+  for (uint32_t I = 0; I != N; ++I) {
     const DecodedInstr &D = Dec[I];
     const PlacedInstr &P = Img.Instrs[I];
-    ASSERT_EQ(D.P, &P);
     MemKind Fetch = Img.Map.regionOf(P.Addr);
     unsigned Wait =
         Fetch == MemKind::Flash ? T.FlashWaitStates : 0;
@@ -267,18 +273,27 @@ TEST(Predecode, RoundTripsAgainstTheRawInstructionStream) {
     EXPECT_EQ(D.Fetch, static_cast<uint8_t>(Fetch));
     EXPECT_EQ(D.Class, static_cast<uint8_t>(opClass(P.I.Kind)));
     EXPECT_EQ(D.Kind, P.I.Kind);
-    EXPECT_EQ(D.CondCode, P.I.CondCode);
+    EXPECT_EQ(D.Imm, P.I.Imm);
+    for (unsigned R = 0; R != 4; ++R)
+      EXPECT_EQ(D.Regs[R], P.I.Regs[R]);
+    EXPECT_EQ(D.SetsFlags, P.I.SetsFlags);
     EXPECT_EQ(D.NextAddr, P.Addr + P.Size);
     EXPECT_EQ(D.TargetAddr, P.TargetAddr);
-    EXPECT_EQ(D.FuncIdx, P.FuncIdx);
-    EXPECT_EQ(D.BlockIdx, P.BlockIdx);
-    EXPECT_EQ(D.IsBlockHead, P.IsBlockHead);
+    // Successors are indices; an unresolvable fall-through names its own
+    // instruction past the table.
+    uint32_t Next = indexAt(P.Addr + P.Size);
+    EXPECT_EQ(D.Next, Next == Unresolved ? N + I : Next);
+    EXPECT_EQ(D.Target, indexAt(P.TargetAddr & ~1u));
+    for (unsigned F = 0; F != 16; ++F) {
+      Flags Fl{(F & 8) != 0, (F & 4) != 0, (F & 2) != 0, (F & 1) != 0};
+      ASSERT_EQ(nzcvFlags(Fl), F);
+      EXPECT_EQ(((D.CondMask >> F) & 1) != 0, condPasses(P.I.CondCode, Fl));
+    }
     EXPECT_EQ(D.CheckCond, P.I.CondCode != Cond::AL &&
                                P.I.Kind != OpKind::BCond);
     EXPECT_EQ(D.CyclesNotTaken, T.cycles(P.I, false) + Wait);
     EXPECT_EQ(D.CyclesTaken, T.cycles(P.I, true) + Wait);
     EXPECT_EQ(D.CyclesSkipped, T.SkippedCycles + Wait);
-    EXPECT_EQ(D.FlashWait, Wait);
     EXPECT_EQ(D.ContentionStall,
               Fetch == MemKind::Ram ? T.RamContentionStall : 0u);
   }
@@ -492,10 +507,12 @@ TEST(ProfileCache, FaultedPublishWakesAHelper) {
 }
 
 //===----------------------------------------------------------------------===//
-// Golden oracle: RunStats digests recorded from the interpreter as it was
-// before full simulation and recost shared one pricing path. Once both
-// derive cycles from the same per-instruction counts, comparing them with
-// each other can no longer catch a pricing bug; these constants can.
+// Golden oracle: RunStats digests recorded from an interpreter that
+// attributed cycles step by step, independently of recostProfile(). Full
+// simulation and recost share one pricing path (priceCounts), so
+// comparing them with each other cannot catch a pricing bug; these
+// constants can. Change them only with a deliberate change of simulated
+// behaviour.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -728,7 +745,9 @@ const GoldenBench GoldenSuite[] = {
 };
 // clang-format on
 
-std::string hex(uint64_t V) { return formatString("0x%016llx", static_cast<unsigned long long>(V)); }
+std::string hex(uint64_t V) {
+  return formatString("0x%016llx", static_cast<unsigned long long>(V));
+}
 
 } // namespace
 
@@ -768,7 +787,8 @@ namespace {
 
 /// One faulting or aborted run, digested across every registry device
 /// (the partial statistics carry each device's attribution).
-uint64_t faultDigest(const Image &Img, uint64_t MaxCycles = 4'000'000'000ULL) {
+uint64_t faultDigest(const Image &Img,
+                     uint64_t MaxCycles = 4'000'000'000ULL) {
   Digest D;
   for (const DeviceInfo &Dev : deviceRegistry()) {
     SimOptions Sim;

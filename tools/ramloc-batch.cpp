@@ -1116,6 +1116,14 @@ int main(int Argc, char **Argv) {
                                          .stats()
                                          .Sum)});
       Row("campaign.sched.helped");
+      // Interpreter throughput over this run's full simulations.
+      Row("sim.instructions");
+      double SimSeconds = M.histogram("sim.fullsim_seconds").stats().Sum;
+      C.addRow({"sim.fullsim_seconds", formatString("%.3f", SimSeconds)});
+      if (SimSeconds > 0)
+        C.addRow({"sim M instr/s",
+                  formatString("%.1f", M.counterValue("sim.instructions") /
+                                           SimSeconds / 1e6)});
       std::printf("%s", C.render().c_str());
     }
     std::fprintf(stderr, "wall time %.2fs\n", CR.Summary.WallSeconds);
