@@ -20,6 +20,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <thread>
 
 #include <fcntl.h>
@@ -42,17 +44,17 @@ namespace {
 // stores can never match and are retired wholesale instead of half-read.
 constexpr const char *StoreSchema = "ramloc-cache-v2";
 constexpr const char *ReportSchema = "ramloc-campaign-v2";
-constexpr const char *StoreFileName = "results.jsonl";
 constexpr const char *ProfileSchema = "ramloc-profiles-v2";
-constexpr const char *ProfileFileName = "profiles.jsonl";
 constexpr const char *IncumbentSchema = "ramloc-incumbents-v2";
-constexpr const char *IncumbentFileName = "incumbents.jsonl";
 constexpr const char *JournalSchema = "ramloc-progress-v2";
-constexpr const char *JournalFileName = "progress.jsonl";
 /// Bump when the interpreter's architectural behaviour (instruction
 /// semantics, block accounting, halt conventions) changes in a way that
 /// alters recorded profiles. Timing/power changes do NOT bump it.
 constexpr const char *SimSemanticsTag = "ramloc-sim-semantics-v1";
+
+/// Which of the three files CacheStore::writeFiles() writes; bit I is
+/// the I-th file fsck() reports.
+enum : unsigned { ResultsBit = 1, ProfilesBit = 2, IncumbentsBit = 4 };
 
 void hashBytes(uint64_t &H, std::string_view S) {
   H = fnv1a64(H, S);
@@ -69,84 +71,6 @@ void hashDouble(uint64_t &H, double V) {
 /// One complete framed store line: CRC32C prefix, payload, newline.
 std::string framedLine(const std::string &Payload) {
   return frameRecord(Payload) + "\n";
-}
-
-std::string headerLine(const char *Schema, const std::string &Fingerprint) {
-  JsonWriter W(/*Pretty=*/false);
-  W.beginObject();
-  W.field("schema", Schema);
-  W.field("fingerprint", Fingerprint);
-  W.endObject();
-  return framedLine(W.str());
-}
-
-/// The journal's header additionally pins the run configuration token:
-/// resuming under different solver limits must recompute, not replay.
-std::string journalHeaderLine(const std::string &Fingerprint,
-                              const std::string &Config) {
-  JsonWriter W(/*Pretty=*/false);
-  W.beginObject();
-  W.field("schema", JournalSchema);
-  W.field("fingerprint", Fingerprint);
-  W.field("config", Config);
-  W.endObject();
-  return framedLine(W.str());
-}
-
-bool headerMatches(const JsonValue &V, const char *Schema,
-                   const std::string &Fingerprint) {
-  const JsonValue *S = V.find("schema");
-  const JsonValue *Fp = V.find("fingerprint");
-  return S && S->kind() == JsonValue::Kind::String &&
-         S->string() == Schema && Fp &&
-         Fp->kind() == JsonValue::Kind::String &&
-         Fp->string() == Fingerprint;
-}
-
-bool endsWithNewline(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary | std::ios::ate);
-  if (!In || In.tellg() == std::streampos(0))
-    return false;
-  In.seekg(-1, std::ios::end);
-  char C = 0;
-  In.get(C);
-  return C == '\n';
-}
-
-/// How save() may add lines to \p Path *right now*. Checked at save()
-/// time, not open() time, so a concurrent writer that created or
-/// repaired the file since we opened it is appended to instead of
-/// clobbered.
-///
-/// - Rewrite: missing, foreign, or damaged header — the file holds
-///   nothing worth keeping, replace it wholesale.
-/// - Append: matching header, newline-terminated tail.
-/// - AppendAfterNewline: matching header but a torn tail line — another
-///   writer's short write, or a SIGKILL mid-append. The torn fragment
-///   must not demote the file to a rewrite: a rewrite here would
-///   discard every record other writers appended since we opened.
-///   Leading our append with a newline terminates the fragment into one
-///   corrupt line the next load quarantines, and every durable record
-///   survives.
-enum class AppendState { Rewrite, Append, AppendAfterNewline };
-
-AppendState appendableState(const std::string &Path, const char *Schema,
-                            const std::string &Fingerprint) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return AppendState::Rewrite;
-  std::string Header;
-  if (!std::getline(In, Header))
-    return AppendState::Rewrite;
-  std::string_view Payload;
-  if (!unframeRecord(Header, Payload))
-    return AppendState::Rewrite;
-  JsonValue V;
-  if (!JsonValue::parse(std::string(Payload), V) ||
-      !headerMatches(V, Schema, Fingerprint))
-    return AppendState::Rewrite;
-  return endsWithNewline(Path) ? AppendState::Append
-                               : AppendState::AppendAfterNewline;
 }
 
 /// Atomic whole-file replacement: temporary in the same directory,
@@ -181,7 +105,7 @@ bool replaceFile(const std::string &Path, const std::string &Doc,
 /// kernel; an ofstream would split a large Doc across several writes and
 /// let another writer tear a record mid-line). A short write — ENOSPC or
 /// a signal mid-transfer — is reported as an error; the partial tail
-/// line it may leave is skipped by the next open().
+/// line it may leave fails its CRC on the next open().
 bool appendToFile(const std::string &Path, const std::string &Doc,
                   std::string *Error) {
   // Fault site: the open itself fails (transient EIO / EMFILE class).
@@ -199,8 +123,8 @@ bool appendToFile(const std::string &Path, const std::string &Doc,
   }
   // Fault site: a short write — half the batch actually lands on disk,
   // exactly the torn-tail shape ENOSPC or a mid-transfer signal leaves.
-  // The injected partial data is real: the load-time tail skip and the
-  // retry path's line termination must cope with it, not a simulation
+  // The injected partial data is real: the loader's CRC check and the
+  // leading newline of every append must cope with it, not a simulation
   // of it.
   size_t ToWrite = Doc.size();
   if (FaultInjector::shouldFail("cache.append.short"))
@@ -224,7 +148,7 @@ template <typename Fn> bool withRetries(Fn &&Op, const std::string &Site) {
   constexpr unsigned MaxAttempts = 3;
   SplitMix64 Jitter(fnv1a64(Site));
   for (unsigned Attempt = 0;; ++Attempt) {
-    if (Op(Attempt))
+    if (Op())
       return true;
     if (Attempt + 1 == MaxAttempts)
       return false;
@@ -235,42 +159,12 @@ template <typename Fn> bool withRetries(Fn &&Op, const std::string &Site) {
   }
 }
 
-/// appendToFile with recovery. A failed attempt may have landed part of
-/// \p Doc (a short write leaves a torn tail line), so every retry leads
-/// with a newline: it terminates whatever junk the failure left, the
-/// junk fails its CRC as one quarantined line the next load skips, and
-/// any complete lines the partial write did land become duplicates the
-/// load's first-wins rule folds away. Nothing is ever lost or fused.
-bool appendWithRetries(const std::string &Path, const std::string &Doc,
-                       std::string *Error) {
-  return withRetries(
-      [&](unsigned Attempt) {
-        return appendToFile(Path, Attempt == 0 ? Doc : "\n" + Doc, Error);
-      },
-      Path);
-}
-
 /// replaceFile with recovery: the temporary is rebuilt from scratch each
 /// attempt, so a failed write or rename leaves nothing to clean up but
 /// the temp file replaceFile already removed.
 bool replaceWithRetries(const std::string &Path, const std::string &Doc,
                         std::string *Error) {
-  return withRetries(
-      [&](unsigned) { return replaceFile(Path, Doc, Error); }, Path);
-}
-
-/// replaceWithRetries under the file's rewrite lock (`<file>.lock`), so
-/// two processes rebuilding the same store file serialize instead of
-/// last-rename-wins silently dropping one side's survivors. Appends do
-/// not take this lock — a single O_APPEND write of whole lines needs no
-/// coordination, and the rewrite it might race produces a valid file
-/// either way (the appended records re-append at the next save).
-bool lockedReplace(const std::string &Path, const std::string &Doc,
-                   unsigned LockWaitMs, std::string *Error) {
-  FileLock Lock;
-  if (!Lock.acquire(Path + ".lock", LockWaitMs, Error))
-    return false;
-  return replaceWithRetries(Path, Doc, Error);
+  return withRetries([&] { return replaceFile(Path, Doc, Error); }, Path);
 }
 
 /// Preserves damaged lines by appending them verbatim to the store
@@ -308,7 +202,7 @@ private:
   bool Loaded = false;
 };
 
-/// What one pass of scanStore() saw.
+/// What one RecordFile::scan() saw.
 struct ScanStats {
   bool Present = false;       ///< Readable (exists, no injected EIO).
   bool SawFirstLine = false;  ///< Had at least one non-empty line.
@@ -319,75 +213,192 @@ struct ScanStats {
   size_t Stranded = 0;        ///< Record lines under an unusable header.
 };
 
-/// Walks one framed store file. The first non-empty line is the header:
-/// it must unframe, parse, and satisfy \p AcceptHeader for any record to
-/// be served; otherwise the remaining lines are merely counted as
-/// stranded and \p OnRecord never fires. Record lines that fail the
-/// frame check or JSON parse are counted, reported to the
-/// `cachestore.crc_mismatch` metric (frame failures), and quarantined.
-/// Read-side fault sites: `cache.load.eio` fails the whole read (the
-/// file loads as absent), `cache.load.flip` flips one bit in a line
-/// about to be checked — which the CRC must catch.
-void scanStore(
-    const std::string &FilePath,
-    const std::function<bool(const JsonValue &)> &AcceptHeader,
-    const std::function<void(const JsonValue &, const std::string &)>
-        &OnRecord,
-    ScanStats &S, std::string *RawHeader = nullptr) {
-  if (FaultInjector::shouldFail("cache.load.eio"))
-    return; // transient EIO: this load sees no file
-  std::ifstream In(FilePath, std::ios::binary);
-  if (!In)
-    return;
-  S.Present = true;
-  Quarantine Q(FilePath);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    if (FaultInjector::shouldFail("cache.load.flip"))
-      Line[Line.size() / 2] ^= 0x01;
+/// One of the four store files, described once: fsck's name for it,
+/// where it lives, what its header says, and how a record yields its
+/// key. Every read and write of a store file is one of its scan(),
+/// append(), rewrite() or save().
+///
+/// Line discipline: a file is a header line followed by framed record
+/// lines. Every append leads with a newline, and loads skip empty lines,
+/// so whatever fragment another writer's torn append left at the tail
+/// ends up a line of its own that fails its CRC and is quarantined — it
+/// never fuses with a record save() acknowledged. No check of the tail
+/// can promise that: another writer can tear it between the check and
+/// the append.
+struct RecordFile {
+  const char *Name;
+  std::string Path;
+  const char *Schema;
+  std::string (*Fingerprint)();
+  /// Classifies a CRC-valid JSON record for fsck: false means
+  /// semantically unreadable (corrupt), true yields its dedup key.
+  bool (*KeyOf)(const JsonValue &, std::string &);
+  /// The journal's header also pins the run configuration token; an
+  /// unset Config accepts any token.
+  bool PinsConfig = false;
+  std::optional<std::string> Config = std::nullopt;
+
+  using OnRecord =
+      std::function<void(const JsonValue &V, const std::string &RawLine)>;
+
+  std::string header() const {
+    JsonWriter W(/*Pretty=*/false);
+    W.beginObject();
+    W.field("schema", Schema);
+    W.field("fingerprint", Fingerprint());
+    if (PinsConfig) {
+      assert(Config && "a journal header is written under one token");
+      W.field("config", *Config);
+    }
+    W.endObject();
+    return framedLine(W.str());
+  }
+
+  bool acceptsHeader(const JsonValue &V) const {
+    const JsonValue *S = V.find("schema");
+    const JsonValue *Fp = V.find("fingerprint");
+    if (!S || S->kind() != JsonValue::Kind::String || S->string() != Schema ||
+        !Fp || Fp->kind() != JsonValue::Kind::String ||
+        Fp->string() != Fingerprint())
+      return false;
+    if (!PinsConfig)
+      return true;
+    const JsonValue *C = V.find("config");
+    return C && C->kind() == JsonValue::Kind::String &&
+           (!Config || C->string() == *Config);
+  }
+
+  /// Whether the file's first non-empty line is this file's header —
+  /// save()'s probe. Plain, unfaulted I/O, so probing shifts no fault
+  /// site's call index.
+  bool headerOnDisk() const {
+    std::ifstream In(Path, std::ios::binary);
+    std::string Line;
+    while (std::getline(In, Line) && Line.empty()) {
+    }
     std::string_view Payload;
-    if (!S.SawFirstLine) {
-      S.SawFirstLine = true;
+    JsonValue V;
+    return !Line.empty() && unframeRecord(Line, Payload) &&
+           JsonValue::parse(std::string(Payload), V) && acceptsHeader(V);
+  }
+
+  /// Walks the file. The first non-empty line is the header: it must
+  /// unframe, parse, and be accepted for any record to be served;
+  /// otherwise the remaining lines are merely counted as stranded and
+  /// \p Record never fires. Record lines that fail the frame check or
+  /// JSON parse are counted, reported to the `cachestore.crc_mismatch`
+  /// metric (frame failures), and quarantined. Read-side fault sites:
+  /// `cache.load.eio` fails the whole read (the file loads as absent),
+  /// `cache.load.flip` flips one bit in a line about to be checked —
+  /// which the CRC must catch.
+  ScanStats scan(const OnRecord &Record,
+                 std::string *RawHeader = nullptr) const {
+    ScanStats S;
+    if (FaultInjector::shouldFail("cache.load.eio"))
+      return S; // transient EIO: this load sees no file
+    std::ifstream In(Path, std::ios::binary);
+    if (!In)
+      return S;
+    S.Present = true;
+    Quarantine Q(Path);
+    std::string Line;
+    while (std::getline(In, Line)) {
+      if (Line.empty())
+        continue;
+      if (FaultInjector::shouldFail("cache.load.flip"))
+        Line[Line.size() / 2] ^= 0x01;
+      std::string_view Payload;
+      if (!S.SawFirstLine) {
+        S.SawFirstLine = true;
+        if (!unframeRecord(Line, Payload)) {
+          // A damaged header is counted but not quarantined: with no
+          // trusted header there is no trusted world to sort lines into,
+          // and the whole file is already preserved in place (loads
+          // never modify the store; only a --repair rewrite would).
+          S.HeaderDamaged = true;
+          ++S.CrcFailures;
+          globalMetrics().counter("cachestore.crc_mismatch").add();
+          continue;
+        }
+        JsonValue V;
+        if (!JsonValue::parse(std::string(Payload), V) || !acceptsHeader(V))
+          continue; // stale header: keep scanning, serve nothing
+        S.HeaderOk = true;
+        if (RawHeader)
+          *RawHeader = Line;
+        continue;
+      }
+      if (!S.HeaderOk) {
+        ++S.Stranded;
+        continue;
+      }
       if (!unframeRecord(Line, Payload)) {
-        // A damaged header is counted but not quarantined: with no
-        // trusted header there is no trusted world to sort lines into,
-        // and the whole file is already preserved in place (loads never
-        // modify the store; only a --repair rewrite would).
-        S.HeaderDamaged = true;
         ++S.CrcFailures;
+        ++S.Damaged;
         globalMetrics().counter("cachestore.crc_mismatch").add();
+        Q.add(Line);
         continue;
       }
       JsonValue V;
-      if (!JsonValue::parse(std::string(Payload), V) || !AcceptHeader(V))
-        continue; // stale header: keep scanning, serve nothing
-      S.HeaderOk = true;
-      if (RawHeader)
-        *RawHeader = Line;
-      continue;
+      if (!JsonValue::parse(std::string(Payload), V)) {
+        ++S.Damaged;
+        Q.add(Line);
+        continue;
+      }
+      Record(V, Line);
     }
-    if (!S.HeaderOk) {
-      ++S.Stranded;
-      continue;
-    }
-    if (!unframeRecord(Line, Payload)) {
-      ++S.CrcFailures;
-      ++S.Damaged;
-      globalMetrics().counter("cachestore.crc_mismatch").add();
-      Q.add(Line);
-      continue;
-    }
-    JsonValue V;
-    if (!JsonValue::parse(std::string(Payload), V)) {
-      ++S.Damaged;
-      Q.add(Line);
-      continue;
-    }
-    OnRecord(V, Line);
+    return S;
   }
-}
+
+  /// Appends framed \p Lines behind the leading newline, lock-free, as
+  /// one O_APPEND write retried with backoff. A failed attempt may have
+  /// landed part of the batch; the retry's own leading newline cuts that
+  /// fragment off, and any complete lines it did land become duplicates
+  /// the loaders fold away. Empty \p Lines touch nothing.
+  bool append(const std::string &Lines, std::string *Error) const {
+    if (Lines.empty())
+      return true;
+    std::string Doc = "\n" + Lines;
+    return withRetries([&] { return appendToFile(Path, Doc, Error); }, Path);
+  }
+
+  /// Replaces the whole file with \p Doc (temporary + rename, retried)
+  /// under `<file>.lock`, so two processes rebuilding the same file
+  /// serialize instead of last-rename-wins silently dropping one side's
+  /// survivors.
+  bool rewrite(const std::string &Doc, unsigned LockWaitMs,
+               std::string *Error) const {
+    FileLock Lock;
+    return Lock.acquire(Path + ".lock", LockWaitMs, Error) &&
+           replaceWithRetries(Path, Doc, Error);
+  }
+
+  /// save()'s way onto disk; compaction's with \p Rewrite. \p Lines
+  /// returns framed record lines: with All every record this process
+  /// holds, otherwise only those the file lacks. A file that carries
+  /// its header gets the lacking lines appended. Any other file —
+  /// missing, or with a damaged or stale header — holds nothing worth
+  /// keeping and is laid down anew (header plus every record) under the
+  /// lock, after the header is probed once more under it: when two
+  /// writers meet the same missing file, the second appends to the
+  /// first one's file instead of renaming its records away. Only a
+  /// rename that save() really makes bumps `cachestore.save_rewrites`.
+  bool save(const std::function<std::string(bool All)> &Lines, bool Rewrite,
+            unsigned LockWaitMs, std::string *Error) const {
+    if (!Rewrite && headerOnDisk())
+      return append(Lines(false), Error);
+    FileLock Lock;
+    if (!Lock.acquire(Path + ".lock", LockWaitMs, Error))
+      return false;
+    if (!Rewrite && headerOnDisk())
+      return append(Lines(false), Error);
+    if (!replaceWithRetries(Path, header() + Lines(true), Error))
+      return false;
+    if (!Rewrite)
+      globalMetrics().counter("cachestore.save_rewrites").add();
+    return true;
+  }
+};
 
 /// Hashes every device's power table and timing model into \p H: the
 /// shared ingredient of the result and incumbent fingerprints.
@@ -450,6 +461,67 @@ bool parseIncumbent(const JsonValue &V, std::string &Group,
   return !Group.empty();
 }
 
+bool resultKey(const JsonValue &V, std::string &Key) {
+  JobResult R;
+  if (!parseJobResult(V, R))
+    return false;
+  Key = R.Spec.cacheKey();
+  return true;
+}
+
+bool profileKey(const JsonValue &V, std::string &Key) {
+  ExecutionProfile P;
+  return parseExecutionProfile(V, Key, P);
+}
+
+bool incumbentKey(const JsonValue &V, std::string &Key) {
+  IncumbentStore::Entry E;
+  return parseIncumbent(V, Key, E);
+}
+
+std::string joinPath(const std::string &Dir, const char *FileName) {
+  return (std::filesystem::path(Dir) / FileName).string();
+}
+
+std::string dirOf(const std::string &Path) {
+  return std::filesystem::path(Path).parent_path().string();
+}
+
+// The four store files. Results and incumbents answer to the device
+// registry (it shapes the power numbers and the placement models);
+// profiles only to the simulator semantics; the journal to the registry
+// plus the run configuration.
+RecordFile resultsFile(const std::string &Dir) {
+  return {"results", joinPath(Dir, "results.jsonl"), StoreSchema,
+          CacheStore::fingerprint, resultKey};
+}
+
+RecordFile profilesFile(const std::string &Dir) {
+  return {"profiles", joinPath(Dir, "profiles.jsonl"), ProfileSchema,
+          CacheStore::profileFingerprint, profileKey};
+}
+
+RecordFile incumbentsFile(const std::string &Dir) {
+  return {"incumbents", joinPath(Dir, "incumbents.jsonl"), IncumbentSchema,
+          CacheStore::incumbentFingerprint, incumbentKey};
+}
+
+RecordFile journalFile(const std::string &Dir,
+                       std::optional<std::string> Config) {
+  return {"progress",       joinPath(Dir, "progress.jsonl"),
+          JournalSchema,    CacheStore::fingerprint,
+          resultKey,        /*PinsConfig=*/true,
+          std::move(Config)};
+}
+
+bool notOpened(const std::string &Path, std::string *Error) {
+  if (!Path.empty())
+    return false;
+  if (Error)
+    *Error = "cache store was never opened";
+  return true;
+}
+
 } // namespace
 
 std::string CacheStore::fingerprint() {
@@ -493,9 +565,12 @@ bool CacheStore::open(const std::string &Dir, std::string *Error) {
                "': " + EC.message();
     return false;
   }
-  Path = (std::filesystem::path(Dir) / StoreFileName).string();
-  ProfPath = (std::filesystem::path(Dir) / ProfileFileName).string();
-  IncPath = (std::filesystem::path(Dir) / IncumbentFileName).string();
+  RecordFile Results = resultsFile(Dir);
+  RecordFile Profs = profilesFile(Dir);
+  RecordFile Incs = incumbentsFile(Dir);
+  Path = Results.Path;
+  ProfPath = Profs.Path;
+  IncPath = Incs.Path;
 
   // Sweep orphaned rewrite temporaries: a writer killed between
   // temp-write and rename leaks `<file>.tmp.<pid>` forever. Only a dead
@@ -531,293 +606,187 @@ bool CacheStore::open(const std::string &Dir, std::string *Error) {
     std::sort(SweptTemps.begin(), SweptTemps.end());
   }
 
-  // --- results.jsonl ------------------------------------------------------
-  {
-    ScanStats S;
-    scanStore(
-        Path,
-        [](const JsonValue &V) {
-          return headerMatches(V, StoreSchema, fingerprint());
-        },
-        [&](const JsonValue &V, const std::string &) {
-          JobResult R;
-          if (!parseJobResult(V, R)) {
-            ++Skipped;
-            return;
-          }
-          // Degraded or failed entries are never servable from this
-          // store (we never write them; an external tool may have).
-          // Skipped *before* the dedup insert, so a valid Optimal entry
-          // appended later for the same key still loads.
-          if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal) {
-            ++Skipped;
-            return;
-          }
-          // Concurrent appenders may have raced the same configuration
-          // to disk; the records are deterministic, so duplicates are
-          // mere bytes — first one counts, the rest are ignored until
-          // compact() folds them away.
-          std::string Key = R.Spec.cacheKey();
-          if (!PersistedKeys.insert(Key).second)
-            return;
-          Cache.insert(Key, R);
-          ++Loaded;
-        },
-        S);
-    Skipped += S.Damaged;
-    CrcMismatches += S.CrcFailures;
-    // A results file whose header is damaged, stale, or from another
-    // schema generation is a different world: discard everything.
-    Invalidated = S.SawFirstLine && !S.HeaderOk;
-    if (Invalidated)
-      PersistedKeys.clear();
-  }
+  ScanStats S = Results.scan([&](const JsonValue &V, const std::string &) {
+    JobResult R;
+    if (!parseJobResult(V, R)) {
+      ++Skipped;
+      return;
+    }
+    // Degraded or failed entries are never servable from this store (we
+    // never write them; an external tool may have). Skipped *before* the
+    // dedup insert, so a valid Optimal entry appended later for the same
+    // key still loads.
+    if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal) {
+      ++Skipped;
+      return;
+    }
+    // Concurrent appenders may have raced the same configuration to
+    // disk; the records are deterministic, so duplicates are mere bytes
+    // — first one counts, the rest are ignored until compact() folds
+    // them away.
+    std::string Key = R.Spec.cacheKey();
+    if (!PersistedKeys.insert(Key).second)
+      return;
+    Cache.insert(Key, R);
+    ++Loaded;
+  });
+  Skipped += S.Damaged;
+  CrcMismatches += S.CrcFailures;
+  // A results file whose header is damaged, stale, or from another
+  // schema generation is a different world: discard everything.
+  Invalidated = S.SawFirstLine && !S.HeaderOk;
+  if (Invalidated)
+    PersistedKeys.clear();
 
-  // --- profiles.jsonl -----------------------------------------------------
-  {
-    ScanStats S;
-    scanStore(
-        ProfPath,
-        [](const JsonValue &V) {
-          // Stale simulator semantics: drop, do not serve.
-          return headerMatches(V, ProfileSchema, profileFingerprint());
-        },
-        [&](const JsonValue &V, const std::string &) {
-          std::string Key;
-          auto P = std::make_shared<ExecutionProfile>();
-          if (!parseExecutionProfile(V, Key, *P)) {
-            ++SkippedProfs;
-            return;
-          }
-          if (!PersistedProfKeys.insert(Key).second)
-            return;
-          Profiles.preload(Key, std::move(P));
-          ++LoadedProfs;
-        },
-        S);
-    SkippedProfs += S.Damaged;
-    CrcMismatches += S.CrcFailures;
-  }
+  // A profile file under stale simulator semantics serves nothing.
+  S = Profs.scan([&](const JsonValue &V, const std::string &) {
+    std::string Key;
+    auto P = std::make_shared<ExecutionProfile>();
+    if (!parseExecutionProfile(V, Key, *P)) {
+      ++SkippedProfs;
+      return;
+    }
+    if (!PersistedProfKeys.insert(Key).second)
+      return;
+    Profiles.preload(Key, std::move(P));
+    ++LoadedProfs;
+  });
+  SkippedProfs += S.Damaged;
+  CrcMismatches += S.CrcFailures;
 
-  // --- incumbents.jsonl ---------------------------------------------------
-  {
-    ScanStats S;
-    scanStore(
-        IncPath,
-        [](const JsonValue &V) {
-          // Different model world: seeds would only miss.
-          return headerMatches(V, IncumbentSchema, incumbentFingerprint());
-        },
-        [&](const JsonValue &V, const std::string &) {
-          std::string Group;
-          IncumbentStore::Entry E;
-          if (!parseIncumbent(V, Group, E)) {
-            ++SkippedIncs;
-            return;
-          }
-          // Concurrent appenders race improved entries to disk;
-          // offer()'s best-wins rule folds duplicates whatever order
-          // they load in.
-          Incumbents.offer(Group, E.InRam, E.EnergyMilliJoules);
-          auto It = PersistedIncEnergy.find(Group);
-          if (It == PersistedIncEnergy.end())
-            PersistedIncEnergy.emplace(Group, E.EnergyMilliJoules);
-          else
-            It->second = std::min(It->second, E.EnergyMilliJoules);
-          ++LoadedIncs;
-        },
-        S);
-    SkippedIncs += S.Damaged;
-    CrcMismatches += S.CrcFailures;
-  }
-  return true;
-}
-
-bool CacheStore::rewriteResults(std::string *Error) {
-  std::string Doc = headerLine(StoreSchema, fingerprint());
-  std::set<std::string> Keys;
-  for (const auto &[Key, R] : Cache.snapshot()) {
-    // Failures are not durable: they may stem from a bug the next build
-    // fixes, and the fingerprint tracks the device tables, not the code.
-    // Serving a stale failure forever is worse than re-running the job.
-    // Degraded (limit-truncated) results follow the same rule — a
-    // best-effort answer must not be served where a later unlimited run
-    // could compute the true optimum; the journal, not this cache, is
-    // where degraded results persist.
-    if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal)
-      continue;
-    JsonWriter W(/*Pretty=*/false);
-    writeJobResult(W, R);
-    Doc += framedLine(W.str());
-    Keys.insert(Key);
-  }
-  if (!lockedReplace(Path, Doc, LockWaitMs, Error))
-    return false;
-  PersistedKeys = std::move(Keys);
-  return true;
-}
-
-bool CacheStore::appendResults(bool TerminateTornTail, std::string *Error) {
-  std::string Doc;
-  std::vector<std::string> NewKeys;
-  for (const auto &[Key, R] : Cache.snapshot()) {
-    if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal ||
-        PersistedKeys.count(Key))
-      continue;
-    JsonWriter W(/*Pretty=*/false);
-    writeJobResult(W, R);
-    Doc += framedLine(W.str());
-    NewKeys.push_back(Key);
-  }
-  if (Doc.empty())
-    return true;
-  if (!appendWithRetries(Path, TerminateTornTail ? "\n" + Doc : Doc, Error))
-    return false;
-  PersistedKeys.insert(NewKeys.begin(), NewKeys.end());
-  return true;
-}
-
-bool CacheStore::rewriteProfiles(std::string *Error) {
-  std::string Doc = headerLine(ProfileSchema, profileFingerprint());
-  std::set<std::string> Keys;
-  for (const auto &[Key, P] : Profiles.snapshot()) {
-    JsonWriter W(/*Pretty=*/false);
-    writeExecutionProfile(W, Key, *P);
-    Doc += framedLine(W.str());
-    Keys.insert(Key);
-  }
-  if (!lockedReplace(ProfPath, Doc, LockWaitMs, Error))
-    return false;
-  PersistedProfKeys = std::move(Keys);
-  return true;
-}
-
-bool CacheStore::appendProfiles(bool TerminateTornTail, std::string *Error) {
-  std::string Doc;
-  std::vector<std::string> NewKeys;
-  for (const auto &[Key, P] : Profiles.snapshot()) {
-    if (PersistedProfKeys.count(Key))
-      continue;
-    JsonWriter W(/*Pretty=*/false);
-    writeExecutionProfile(W, Key, *P);
-    Doc += framedLine(W.str());
-    NewKeys.push_back(Key);
-  }
-  if (Doc.empty())
-    return true;
-  if (!appendWithRetries(ProfPath, TerminateTornTail ? "\n" + Doc : Doc,
-                         Error))
-    return false;
-  PersistedProfKeys.insert(NewKeys.begin(), NewKeys.end());
-  return true;
-}
-
-bool CacheStore::rewriteIncumbents(std::string *Error) {
-  std::string Doc = headerLine(IncumbentSchema, incumbentFingerprint());
-  std::map<std::string, double> Energies;
-  for (const auto &[Group, E] : Incumbents.snapshot()) {
-    Doc += framedLine(incumbentPayload(Group, E));
-    Energies.emplace(Group, E.EnergyMilliJoules);
-  }
-  if (!lockedReplace(IncPath, Doc, LockWaitMs, Error))
-    return false;
-  PersistedIncEnergy = std::move(Energies);
-  return true;
-}
-
-bool CacheStore::appendIncumbents(bool TerminateTornTail,
-                                  std::string *Error) {
-  std::string Doc;
-  std::vector<std::pair<std::string, double>> NewEnergies;
-  for (const auto &[Group, E] : Incumbents.snapshot()) {
-    // Only improvements hit the disk: load-time best-wins folding makes
-    // a re-appended better entry supersede the old line without a
-    // rewrite.
+  // Incumbents from a different model world would only miss.
+  S = Incs.scan([&](const JsonValue &V, const std::string &) {
+    std::string Group;
+    IncumbentStore::Entry E;
+    if (!parseIncumbent(V, Group, E)) {
+      ++SkippedIncs;
+      return;
+    }
+    // Concurrent appenders race improved entries to disk; offer()'s
+    // best-wins rule folds duplicates whatever order they load in.
+    Incumbents.offer(Group, E.InRam, E.EnergyMilliJoules);
     auto It = PersistedIncEnergy.find(Group);
-    if (It != PersistedIncEnergy.end() &&
-        E.EnergyMilliJoules >= It->second)
-      continue;
-    Doc += framedLine(incumbentPayload(Group, E));
-    NewEnergies.push_back({Group, E.EnergyMilliJoules});
+    if (It == PersistedIncEnergy.end())
+      PersistedIncEnergy.emplace(Group, E.EnergyMilliJoules);
+    else
+      It->second = std::min(It->second, E.EnergyMilliJoules);
+    ++LoadedIncs;
+  });
+  SkippedIncs += S.Damaged;
+  CrcMismatches += S.CrcFailures;
+  return true;
+}
+
+bool CacheStore::writeFiles(unsigned Files, bool Rewrite,
+                            std::string *Error) {
+  std::string Dir = dirOf(Path);
+  if (Files & ResultsBit) {
+    std::vector<std::string> Keys;
+    auto Lines = [&](bool All) {
+      std::string Doc;
+      for (const auto &[Key, R] : Cache.snapshot()) {
+        // Failures are not durable: they may stem from a bug the next
+        // build fixes, and the fingerprint tracks the device tables, not
+        // the code. Serving a stale failure forever is worse than
+        // re-running the job. Degraded (limit-truncated) results follow
+        // the same rule — a best-effort answer must not be served where
+        // a later unlimited run could compute the true optimum; the
+        // journal, not this cache, is where degraded results persist.
+        if (!R.ok() || R.SolveOutcome != SolveStatus::Optimal ||
+            (!All && PersistedKeys.count(Key)))
+          continue;
+        JsonWriter W(/*Pretty=*/false);
+        writeJobResult(W, R);
+        Doc += framedLine(W.str());
+        Keys.push_back(Key);
+      }
+      return Doc;
+    };
+    if (!resultsFile(Dir).save(Lines, Rewrite, LockWaitMs, Error))
+      return false;
+    PersistedKeys.insert(Keys.begin(), Keys.end());
   }
-  if (Doc.empty())
-    return true;
-  if (!appendWithRetries(IncPath, TerminateTornTail ? "\n" + Doc : Doc,
-                         Error))
-    return false;
-  for (auto &[Group, Energy] : NewEnergies)
-    PersistedIncEnergy[Group] = Energy;
+  if (Files & ProfilesBit) {
+    std::vector<std::string> Keys;
+    auto Lines = [&](bool All) {
+      std::string Doc;
+      for (const auto &[Key, P] : Profiles.snapshot()) {
+        if (!All && PersistedProfKeys.count(Key))
+          continue;
+        JsonWriter W(/*Pretty=*/false);
+        writeExecutionProfile(W, Key, *P);
+        Doc += framedLine(W.str());
+        Keys.push_back(Key);
+      }
+      return Doc;
+    };
+    if (!profilesFile(Dir).save(Lines, Rewrite, LockWaitMs, Error))
+      return false;
+    PersistedProfKeys.insert(Keys.begin(), Keys.end());
+  }
+  if (Files & IncumbentsBit) {
+    std::vector<std::pair<std::string, double>> Energies;
+    auto Lines = [&](bool All) {
+      std::string Doc;
+      for (const auto &[Group, E] : Incumbents.snapshot()) {
+        // Only improvements are appended: load-time best-wins folding
+        // makes a re-appended better entry supersede the old line.
+        auto It = PersistedIncEnergy.find(Group);
+        if (!All && It != PersistedIncEnergy.end() &&
+            E.EnergyMilliJoules >= It->second)
+          continue;
+        Doc += framedLine(incumbentPayload(Group, E));
+        Energies.push_back({Group, E.EnergyMilliJoules});
+      }
+      return Doc;
+    };
+    if (!incumbentsFile(Dir).save(Lines, Rewrite, LockWaitMs, Error))
+      return false;
+    for (const auto &[Group, Energy] : Energies)
+      PersistedIncEnergy[Group] = Energy;
+  }
   return true;
 }
 
 bool CacheStore::save(std::string *Error) {
   TraceSpan Span("cache.append", "cache");
-  if (Path.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
-    return false;
-  }
-  AppendState RS = appendableState(Path, StoreSchema, fingerprint());
-  if (!(RS == AppendState::Rewrite
-            ? rewriteResults(Error)
-            : appendResults(RS == AppendState::AppendAfterNewline, Error)))
-    return false;
-  AppendState PS =
-      appendableState(ProfPath, ProfileSchema, profileFingerprint());
-  if (!(PS == AppendState::Rewrite
-            ? rewriteProfiles(Error)
-            : appendProfiles(PS == AppendState::AppendAfterNewline, Error)))
-    return false;
-  AppendState IS =
-      appendableState(IncPath, IncumbentSchema, incumbentFingerprint());
-  return IS == AppendState::Rewrite
-             ? rewriteIncumbents(Error)
-             : appendIncumbents(IS == AppendState::AppendAfterNewline,
-                                Error);
+  return !notOpened(Path, Error) &&
+         writeFiles(ResultsBit | ProfilesBit | IncumbentsBit,
+                    /*Rewrite=*/false, Error);
 }
 
 bool CacheStore::compact(std::string *Error) {
   TraceSpan Span("cache.compact", "cache");
-  if (Path.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
-    return false;
-  }
-  return rewriteResults(Error) && rewriteProfiles(Error) &&
-         rewriteIncumbents(Error);
+  return !notOpened(Path, Error) &&
+         writeFiles(ResultsBit | ProfilesBit | IncumbentsBit,
+                    /*Rewrite=*/true, Error);
 }
 
 bool CacheStore::compactIncumbents(std::string *Error) {
   TraceSpan Span("cache.compact", "cache");
-  if (IncPath.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
-    return false;
-  }
-  return rewriteIncumbents(Error);
+  return !notOpened(Path, Error) &&
+         writeFiles(IncumbentsBit, /*Rewrite=*/true, Error);
 }
 
 bool CacheStore::gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
                             std::string *Error) {
   TraceSpan Span("cache.compact", "cache");
-  if (ProfPath.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
+  if (notOpened(Path, Error))
     return false;
-  }
   Stats = ProfileGcStats();
+  RecordFile File = profilesFile(dirOf(Path));
 
   // The whole read-dedupe-rewrite cycle runs under the file's lock: a
   // concurrent GC or --repair reading the same generation would
   // otherwise decide survivorship from bytes the other is about to
   // replace.
   FileLock Lock;
-  if (!Lock.acquire(ProfPath + ".lock", LockWaitMs, Error))
+  if (!Lock.acquire(File.Path + ".lock", LockWaitMs, Error))
     return false;
 
   {
     std::error_code EC;
-    uint64_t Size = std::filesystem::file_size(ProfPath, EC);
+    uint64_t Size = std::filesystem::file_size(File.Path, EC);
     Stats.BytesBefore = EC ? 0 : Size;
   }
 
@@ -825,28 +794,18 @@ bool CacheStore::gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
   // kept verbatim, framing included — GC must not perturb bytes it
   // decided to keep.
   std::vector<std::pair<std::string, std::string>> Entries;
-  {
-    ScanStats S;
-    scanStore(
-        ProfPath,
-        [](const JsonValue &V) {
-          return headerMatches(V, ProfileSchema, profileFingerprint());
-        },
-        [&](const JsonValue &V, const std::string &Raw) {
-          std::string Key;
-          auto P = std::make_shared<ExecutionProfile>();
-          if (!parseExecutionProfile(V, Key, *P)) {
-            ++Stats.DroppedInvalid;
-            return;
-          }
-          Entries.push_back({std::move(Key), Raw});
-        },
-        S);
-    CrcMismatches += S.CrcFailures;
-    Stats.DroppedInvalid += S.Damaged + S.Stranded;
-    if (S.SawFirstLine && !S.HeaderOk)
-      ++Stats.DroppedInvalid; // stale or damaged header: every entry goes
-  }
+  ScanStats S = File.scan([&](const JsonValue &V, const std::string &Raw) {
+    std::string Key;
+    if (!profileKey(V, Key)) {
+      ++Stats.DroppedInvalid;
+      return;
+    }
+    Entries.push_back({std::move(Key), Raw});
+  });
+  CrcMismatches += S.CrcFailures;
+  Stats.DroppedInvalid += S.Damaged + S.Stranded;
+  if (S.SawFirstLine && !S.HeaderOk)
+    ++Stats.DroppedInvalid; // stale or damaged header: every entry goes
 
   // Duplicate keys: concurrent appenders may have raced; the newest
   // (latest-appended) occurrence wins, matching what a load would use
@@ -867,9 +826,9 @@ bool CacheStore::gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
 
   // Size cap: evict from the front (oldest appends) until the rewritten
   // file — header plus surviving lines — fits.
-  std::string Header = headerLine(ProfileSchema, profileFingerprint());
+  std::string Doc = File.header();
   if (MaxBytes != 0) {
-    uint64_t Need = Header.size();
+    uint64_t Need = Doc.size();
     for (const auto &[Key, Line] : Entries)
       Need += Line.size() + 1;
     size_t Drop = 0;
@@ -882,13 +841,12 @@ bool CacheStore::gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
                   Entries.begin() + static_cast<ptrdiff_t>(Drop));
   }
 
-  std::string Doc = Header;
   std::set<std::string> Keys;
   for (const auto &[Key, Line] : Entries) {
     Doc += Line + "\n";
     Keys.insert(Key);
   }
-  if (!replaceWithRetries(ProfPath, Doc, Error))
+  if (!replaceWithRetries(File.Path, Doc, Error))
     return false;
   Stats.Kept = Entries.size();
   Stats.BytesAfter = Doc.size();
@@ -898,57 +856,38 @@ bool CacheStore::gcProfiles(uint64_t MaxBytes, ProfileGcStats &Stats,
 
 bool CacheStore::beginJournal(const std::string &ConfigToken, bool Resume,
                               std::string *Error) {
-  if (Path.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
+  if (notOpened(Path, Error))
     return false;
-  }
-  JournalPath =
-      (std::filesystem::path(Path).parent_path() / JournalFileName).string();
+  RecordFile Journal = journalFile(dirOf(Path), ConfigToken);
+  JournalPath = Journal.Path;
   JournalResults.clear();
   SkippedJournal = 0;
 
-  std::string Header = journalHeaderLine(fingerprint(), ConfigToken);
-  if (!Resume)
-    return lockedReplace(JournalPath, Header, LockWaitMs, Error);
-
-  ScanStats S;
-  {
+  if (Resume) {
+    // Different world or solver limits: the header does not match and
+    // nothing replays.
     std::set<std::string> Seen;
-    scanStore(
-        JournalPath,
-        [&](const JsonValue &V) {
-          // Different world or solver limits: nothing to replay.
-          const JsonValue *Config = V.find("config");
-          return headerMatches(V, JournalSchema, fingerprint()) && Config &&
-                 Config->kind() == JsonValue::Kind::String &&
-                 Config->string() == ConfigToken;
-        },
-        [&](const JsonValue &V, const std::string &) {
-          JobResult R;
-          if (!parseJobResult(V, R)) {
-            ++SkippedJournal;
-            return;
-          }
-          // A retried short write may have left the same job twice; the
-          // first occurrence is the one the interrupted run reported.
-          if (!Seen.insert(R.Spec.cacheKey()).second)
-            return;
-          JournalResults.push_back(std::move(R));
-        },
-        S);
+    ScanStats S = Journal.scan([&](const JsonValue &V, const std::string &) {
+      JobResult R;
+      if (!parseJobResult(V, R)) {
+        ++SkippedJournal;
+        return;
+      }
+      // A retried short write may have left the same job twice; the
+      // first occurrence is the one the interrupted run reported.
+      if (!Seen.insert(R.Spec.cacheKey()).second)
+        return;
+      JournalResults.push_back(std::move(R));
+    });
     SkippedJournal += S.Damaged;
     CrcMismatches += S.CrcFailures;
+    // Extend the journal as it stands: a torn tail a killed writer left
+    // behind stays a line of its own, since every append opens a fresh
+    // one.
+    if (S.HeaderOk)
+      return true;
   }
-  if (!S.HeaderOk)
-    return lockedReplace(JournalPath, Header, LockWaitMs, Error);
-  // Extend the existing journal. If the previous writer was killed
-  // mid-append, its torn tail must not fuse with our first append —
-  // terminate it now (the orphaned fragment fails its CRC as one
-  // quarantined line the next resume skips).
-  if (!endsWithNewline(JournalPath))
-    return appendWithRetries(JournalPath, "\n", Error);
-  return true;
+  return Journal.rewrite(Journal.header(), LockWaitMs, Error);
 }
 
 bool CacheStore::appendJournal(const JobResult &R, std::string *Error) {
@@ -956,7 +895,8 @@ bool CacheStore::appendJournal(const JobResult &R, std::string *Error) {
     return true;
   JsonWriter W(/*Pretty=*/false);
   writeJobResult(W, R);
-  return appendWithRetries(JournalPath, framedLine(W.str()), Error);
+  return journalFile(dirOf(JournalPath), std::nullopt)
+      .append(framedLine(W.str()), Error);
 }
 
 void CacheStore::clearJournal() {
@@ -968,113 +908,55 @@ void CacheStore::clearJournal() {
 
 bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
   TraceSpan Span("cache.fsck", "cache");
-  if (Path.empty()) {
-    if (Error)
-      *Error = "cache store was never opened";
+  if (notOpened(Path, Error))
     return false;
-  }
   Report = FsckReport();
   Report.OrphanedTemps = SweptTemps;
 
-  std::string JPath =
-      (std::filesystem::path(Path).parent_path() / JournalFileName)
-          .string();
-
-  // Walks one file into an FsckFile. KeyOf classifies a CRC-valid JSON
-  // record: false means semantically unreadable (corrupt), true yields
-  // the dedup key. RawValid collects servable lines verbatim for the
-  // journal's repair rewrite.
-  auto Walk =
-      [&](const char *Name, const std::string &FPath,
-          const std::function<bool(const JsonValue &)> &AcceptHeader,
-          const std::function<bool(const JsonValue &, std::string &)>
-              &KeyOf,
-          std::string *RawHeader, std::vector<std::string> *RawValid) {
-        FsckFile F;
-        F.Name = Name;
-        F.Path = FPath;
-        ScanStats S;
-        std::set<std::string> Keys;
-        scanStore(
-            FPath, AcceptHeader,
-            [&](const JsonValue &V, const std::string &Raw) {
-              std::string Key;
-              if (!KeyOf(V, Key)) {
-                ++F.Corrupt;
-                return;
-              }
-              if (!Keys.insert(Key).second) {
-                ++F.Duplicate;
-                return;
-              }
-              ++F.Valid;
-              if (RawValid)
-                RawValid->push_back(Raw);
-            },
-            S, RawHeader);
-        CrcMismatches += S.CrcFailures;
-        F.Present = S.Present;
-        F.HeaderOk = !S.SawFirstLine || S.HeaderOk;
-        F.Corrupt += S.Damaged + (S.HeaderDamaged ? 1 : 0);
-        F.Stale = S.Stranded;
-        // A header that framed correctly but names another world is a
-        // stale line, not a corrupt one.
-        if (S.SawFirstLine && !S.HeaderOk && !S.HeaderDamaged)
-          ++F.Stale;
-        Report.Files.push_back(F);
-        return F;
-      };
-
-  auto ResultKey = [](const JsonValue &V, std::string &Key) {
-    JobResult R;
-    if (!parseJobResult(V, R))
-      return false;
-    Key = R.Spec.cacheKey();
-    return true;
-  };
-
-  FsckFile FR = Walk(
-      "results", Path,
-      [](const JsonValue &V) {
-        return headerMatches(V, StoreSchema, fingerprint());
-      },
-      ResultKey, nullptr, nullptr);
-
-  FsckFile FP = Walk(
-      "profiles", ProfPath,
-      [](const JsonValue &V) {
-        return headerMatches(V, ProfileSchema, profileFingerprint());
-      },
-      [](const JsonValue &V, std::string &Key) {
-        auto P = std::make_shared<ExecutionProfile>();
-        return parseExecutionProfile(V, Key, *P);
-      },
-      nullptr, nullptr);
-
-  FsckFile FI = Walk(
-      "incumbents", IncPath,
-      [](const JsonValue &V) {
-        return headerMatches(V, IncumbentSchema, incumbentFingerprint());
-      },
-      [](const JsonValue &V, std::string &Key) {
-        IncumbentStore::Entry E;
-        return parseIncumbent(V, Key, E);
-      },
-      nullptr, nullptr);
-
   // The journal is checked under *any* configuration token: fsck is a
   // maintenance pass, and which solver limits an interrupted run used is
-  // the resume path's business, not an integrity question.
-  std::string JournalRawHeader;
-  std::vector<std::string> JournalRawValid;
-  FsckFile FJ = Walk(
-      "progress", JPath,
-      [](const JsonValue &V) {
-        const JsonValue *Config = V.find("config");
-        return headerMatches(V, JournalSchema, fingerprint()) && Config &&
-               Config->kind() == JsonValue::Kind::String;
-      },
-      ResultKey, &JournalRawHeader, &JournalRawValid);
+  // the resume path's business, not an integrity question. Its raw
+  // header and servable lines are kept for its repair.
+  std::string Dir = dirOf(Path);
+  const RecordFile Files[] = {resultsFile(Dir), profilesFile(Dir),
+                              incumbentsFile(Dir),
+                              journalFile(Dir, std::nullopt)};
+  const RecordFile &Journal = Files[3];
+  std::string JournalHeader;
+  std::vector<std::string> JournalLines;
+  for (const RecordFile &File : Files) {
+    bool IsJournal = &File == &Journal;
+    FsckFile F;
+    F.Name = File.Name;
+    F.Path = File.Path;
+    std::set<std::string> Keys;
+    ScanStats S = File.scan(
+        [&](const JsonValue &V, const std::string &Raw) {
+          std::string Key;
+          if (!File.KeyOf(V, Key)) {
+            ++F.Corrupt;
+            return;
+          }
+          if (!Keys.insert(Key).second) {
+            ++F.Duplicate;
+            return;
+          }
+          ++F.Valid;
+          if (IsJournal)
+            JournalLines.push_back(Raw);
+        },
+        IsJournal ? &JournalHeader : nullptr);
+    CrcMismatches += S.CrcFailures;
+    F.Present = S.Present;
+    F.HeaderOk = !S.SawFirstLine || S.HeaderOk;
+    F.Corrupt += S.Damaged + (S.HeaderDamaged ? 1 : 0);
+    F.Stale = S.Stranded;
+    // A header that framed correctly but names another world is a stale
+    // line, not a corrupt one.
+    if (S.SawFirstLine && !S.HeaderOk && !S.HeaderDamaged)
+      ++F.Stale;
+    Report.Files.push_back(F);
+  }
 
   if (!Repair)
     return true;
@@ -1083,11 +965,11 @@ bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
   // the locked compaction rewrite: valid records only, deduplicated,
   // fresh framed header. Corrupt lines were quarantined during the walk;
   // lines stranded under an untrusted header fall with it.
-  if (FR.damaged() && !rewriteResults(Error))
-    return false;
-  if (FP.damaged() && !rewriteProfiles(Error))
-    return false;
-  if (FI.damaged() && !rewriteIncumbents(Error))
+  unsigned Damaged = 0;
+  for (unsigned I = 0; I != 3; ++I)
+    if (Report.Files[I].damaged())
+      Damaged |= 1u << I; // ResultsBit, ProfilesBit, IncumbentsBit
+  if (Damaged && !writeFiles(Damaged, /*Rewrite=*/true, Error))
     return false;
 
   // The journal is not loaded by open(), so it repairs from its own
@@ -1095,16 +977,15 @@ bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
   // untouched for --resume to honour it), servable lines kept verbatim
   // first-wins. A journal whose header cannot be trusted is removed —
   // replaying records from an unknown world is worse than recomputing.
-  if (FJ.Present) {
-    if (!FJ.HeaderOk) {
-      std::remove(JPath.c_str());
-    } else if (FJ.damaged()) {
-      std::string Doc = JournalRawHeader + "\n";
-      for (const std::string &Line : JournalRawValid)
-        Doc += Line + "\n";
-      if (!lockedReplace(JPath, Doc, LockWaitMs, Error))
-        return false;
-    }
+  const FsckFile &FJ = Report.Files[3];
+  if (FJ.Present && !FJ.HeaderOk) {
+    std::remove(Journal.Path.c_str());
+  } else if (FJ.Present && FJ.damaged()) {
+    std::string Doc = JournalHeader + "\n";
+    for (const std::string &Line : JournalLines)
+      Doc += Line + "\n";
+    if (!Journal.rewrite(Doc, LockWaitMs, Error))
+      return false;
   }
 
   // Orphaned temporaries were already swept by open(); they appear in

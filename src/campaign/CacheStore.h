@@ -12,7 +12,7 @@
 /// produced it is unchanged, and a benchmark simulated once is recosted —
 /// not re-executed — even across processes and device-table changes.
 ///
-/// Format: three JSON-lines files inside the cache directory.
+/// Format: four JSON-lines files inside the cache directory.
 ///  - `results.jsonl`: one JobResult per line in the report dialect
 ///    (campaign/Report.h), keyed implicitly by its spec's cacheKey().
 ///    Its header fingerprint covers the device registry's power tables
@@ -34,16 +34,23 @@
 ///    every exact-solver reuse path in this repo shares) — so the
 ///    fingerprint only avoids pointless seeding attempts, it is not a
 ///    correctness gate.
+///  - `progress.jsonl`: the campaign progress journal (see beginJournal).
 ///
 /// Writes are append-mode: save() appends only entries not yet on disk,
 /// one complete record per line with no fsync, so concurrent writers
 /// sharing a directory interleave whole lines instead of losing each
-/// other's work to a rewrite race, and a killed writer truncates at most
-/// its final line (skipped on load). A file that needs repair — absent,
-/// corrupt, truncated mid-line, or carrying a stale fingerprint — is
-/// instead rewritten atomically (temporary + rename). compact() forces
-/// that sorted, deduplicated rewrite; report merging is its natural home
-/// (`ramloc-batch --merge --cache-dir=...`).
+/// other's work to a rewrite race. Every append leads with a newline, so
+/// whatever a killed or short-written writer left at the tail — a torn
+/// fragment, with or without its newline — stays a line of its own that
+/// fails its CRC and is quarantined on load, and never fuses with a
+/// record another writer's save() acknowledged. Loads skip the empty
+/// lines this leaves. Only a file without a valid header — absent,
+/// damaged, or carrying a stale fingerprint — is rewritten atomically
+/// (temporary + rename), under its lock and after a second look at the
+/// header, so concurrent first saves into one directory extend the first
+/// writer's file instead of renaming each other's records away.
+/// compact() forces that sorted, deduplicated rewrite; report merging is
+/// its natural home (`ramloc-batch --merge --cache-dir=...`).
 ///
 /// Integrity (all four files, headers included):
 ///  - Every line is CRC32C-framed (support/Checksum.h): eight hex digits
@@ -58,8 +65,9 @@
 ///  - Atomic rewrites and compactions take a per-file advisory flock
 ///    (`<file>.lock`, support/FileLock.h) with a bounded wait, so two
 ///    `--merge` or `--fsck --repair` processes sharing a directory
-///    serialize their read-then-rename cycles. Append paths stay
-///    lock-free whole-line appends.
+///    serialize their read-then-rename cycles. Appends to a file whose
+///    header is in place stay lock-free whole-line appends. A rename
+///    save() makes bumps `cachestore.save_rewrites`.
 ///  - open() sweeps orphaned `<file>.tmp.<pid>` temporaries whose writer
 ///    is no longer alive (a rewrite killed between temp-write and
 ///    rename); fsck() reports them.
@@ -102,27 +110,31 @@ public:
   /// assignments were optimal for).
   static std::string incumbentFingerprint();
 
-  /// Binds the store to <Dir>/results.jsonl and <Dir>/profiles.jsonl,
+  /// Binds the store to <Dir>/results.jsonl, <Dir>/profiles.jsonl and
+  /// <Dir>/incumbents.jsonl (and the journal to <Dir>/progress.jsonl),
   /// creating \p Dir when missing, and loads whatever valid entries the
-  /// files hold. Returns false only when the directory cannot be
+  /// three files hold. Returns false only when the directory cannot be
   /// created; invalid content merely yields an empty cache (see
   /// invalidated() / skippedLines()).
   bool open(const std::string &Dir, std::string *Error = nullptr);
 
-  /// Persists every *successful* entry not yet on disk. Healthy files
-  /// grow by appended lines; a torn tail line (another writer killed
-  /// mid-append) is terminated with a newline and appended past, never
-  /// rewritten away — a rewrite would discard records other writers
-  /// appended since we opened. Only a file whose *header* is missing,
-  /// damaged, or stale-fingerprinted is rewritten atomically.
+  /// Persists every *successful* entry not yet on disk. A file whose
+  /// header is in place grows by appended lines, each append opening a
+  /// fresh line, so a torn tail another writer left is never rewritten
+  /// away — a rewrite would discard records other writers appended since
+  /// we opened. Only a file whose *header* is missing, damaged, or
+  /// stale-fingerprinted is rewritten atomically, and only if it still
+  /// lacks a valid header once this writer holds its lock; otherwise the
+  /// entries are appended to what the other writer laid down.
   /// Failed results stay in-memory only: a failure may be a bug the next
   /// build fixes, and the fingerprint cannot see code changes, so
   /// persisting it would serve a stale error forever. Invalid profiles
   /// are never persisted.
   bool save(std::string *Error = nullptr);
 
-  /// Sorted, deduplicated atomic rewrite of both files — the repair and
-  /// garbage-collection path for stores grown by many appenders.
+  /// Sorted, deduplicated atomic rewrite of the results, profile and
+  /// incumbent files — the repair and garbage-collection path for stores
+  /// grown by many appenders.
   bool compact(std::string *Error = nullptr);
 
   /// What a profile-store GC pass did.
@@ -204,8 +216,8 @@ public:
 
   //===--- Campaign progress journal (crash-safe resume) -------------------===//
   //
-  // A fourth file, <dir>/progress.jsonl, records every *finished* job of
-  // an in-flight campaign as one report-dialect line, appended as jobs
+  // The fourth file, <dir>/progress.jsonl, records every *finished* job
+  // of an in-flight campaign as one report-dialect line, appended as jobs
   // complete. A killed campaign loses at most its torn final line; a new
   // run with `--resume` replays the journal through the result cache,
   // re-runs only what is missing, and produces a report byte-identical
@@ -288,12 +300,10 @@ public:
   void setLockWaitMs(unsigned Ms) { LockWaitMs = Ms; }
 
 private:
-  bool rewriteResults(std::string *Error);
-  bool appendResults(bool TerminateTornTail, std::string *Error);
-  bool rewriteProfiles(std::string *Error);
-  bool appendProfiles(bool TerminateTornTail, std::string *Error);
-  bool rewriteIncumbents(std::string *Error);
-  bool appendIncumbents(bool TerminateTornTail, std::string *Error);
+  /// Writes the results, profile and incumbent files \p Files selects
+  /// (a bit mask in that order): save()'s append-what-is-missing, or
+  /// with \p Rewrite the locked compaction rewrite from memory.
+  bool writeFiles(unsigned Files, bool Rewrite, std::string *Error);
 
   ResultCache Cache;
   ProfileCache Profiles;
@@ -304,8 +314,8 @@ private:
   /// Cache keys already durable in each file (loaded or saved by us).
   /// save() appends only entries outside these sets; whether appending is
   /// safe is probed from the file itself at save() time (valid matching
-  /// header, newline-terminated tail) so a concurrent writer's appends
-  /// are extended, never clobbered.
+  /// header) so a concurrent writer's appends are extended, never
+  /// clobbered.
   std::set<std::string> PersistedKeys;
   std::set<std::string> PersistedProfKeys;
   /// Incumbents durable per group *at an energy*: an improved assignment

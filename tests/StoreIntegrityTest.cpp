@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -784,4 +785,61 @@ TEST_F(FaultTestGuard, WriterStormUnderFaultsLosesNoDurableRecord) {
     JobResult Out;
     EXPECT_TRUE(Clean.cache().lookup(Key, Out));
   }
+}
+
+TEST(StoreIntegrity, ConcurrentFirstSavesIntoAnEmptyDirectoryKeepEveryRecord) {
+  // No seed step: every writer meets three missing files at once and
+  // takes the rename path. The first writer to hold a file's lock lays it
+  // down; every later one must find that header under the lock and
+  // append, not rename the earlier records away.
+  std::string Dir = freshDir("first-saves");
+  std::filesystem::create_directories(Dir);
+  uint64_t RewritesBefore =
+      globalMetrics().counterValue("cachestore.save_rewrites");
+
+  constexpr unsigned Writers = 4;
+  constexpr unsigned PerWriter = 3;
+  std::atomic<unsigned> Ready{0};
+  std::mutex Mu;
+  std::set<std::string> Durable;
+  std::vector<std::thread> Threads;
+  for (unsigned W = 0; W != Writers; ++W)
+    Threads.emplace_back([&, W] {
+      CacheStore Store;
+      bool Opened = Store.open(Dir);
+      std::vector<std::string> Keys;
+      for (unsigned R = 0; R != PerWriter; ++R) {
+        JobResult Result = makeResult(2000 + W * 100 + R);
+        Keys.push_back(Result.Spec.cacheKey());
+        Store.cache().insert(Keys.back(), Result);
+      }
+      // Line the writers up so their first saves overlap.
+      Ready.fetch_add(1);
+      while (Ready.load() != Writers)
+        std::this_thread::yield();
+      if (Opened && Store.save()) {
+        std::lock_guard<std::mutex> Lock(Mu);
+        Durable.insert(Keys.begin(), Keys.end());
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  EXPECT_EQ(Durable.size(), Writers * PerWriter); // no faults: all saved
+  CacheStore Survivor;
+  ASSERT_TRUE(Survivor.open(Dir));
+  for (const std::string &Key : Durable) {
+    JobResult Out;
+    EXPECT_TRUE(Survivor.cache().lookup(Key, Out))
+        << "durable record lost: " << Key;
+  }
+  EXPECT_EQ(Survivor.loadedEntries(), Writers * PerWriter);
+  // One rename per store file (results, profiles, incumbents); every
+  // other first save appended.
+  EXPECT_EQ(globalMetrics().counterValue("cachestore.save_rewrites") -
+                RewritesBefore,
+            3u);
+  CacheStore::FsckReport Report;
+  ASSERT_TRUE(Survivor.fsck(/*Repair=*/false, Report));
+  EXPECT_FALSE(Report.damaged());
 }
