@@ -52,8 +52,7 @@ constexpr const char *JournalSchema = "ramloc-progress-v2";
 /// alters recorded profiles. Timing/power changes do NOT bump it.
 constexpr const char *SimSemanticsTag = "ramloc-sim-semantics-v1";
 
-/// Which of the three files CacheStore::writeFiles() writes; bit I is
-/// the I-th file fsck() reports.
+/// Which of the three files CacheStore::writeFiles() writes.
 enum : unsigned { ResultsBit = 1, ProfilesBit = 2, IncumbentsBit = 4 };
 
 void hashBytes(uint64_t &H, std::string_view S) {
@@ -167,6 +166,24 @@ bool replaceWithRetries(const std::string &Path, const std::string &Doc,
   return withRetries([&] { return replaceFile(Path, Doc, Error); }, Path);
 }
 
+/// Appends framed \p Lines to \p Path behind a leading newline, lock-free,
+/// as one O_APPEND write retried with backoff. Loads skip empty lines, so
+/// whatever fragment another writer's torn append left at the tail ends
+/// up a line of its own that fails its CRC and is quarantined; it never
+/// fuses with a record save() acknowledged. No check of the tail can
+/// promise that: another writer can tear it between the check and the
+/// append. A failed attempt may have landed part of the batch; the
+/// retry's own leading newline cuts that fragment off, and any complete
+/// lines it did land become duplicates the loaders fold away. Empty
+/// \p Lines touch nothing.
+bool appendLines(const std::string &Path, const std::string &Lines,
+                 std::string *Error) {
+  if (Lines.empty())
+    return true;
+  std::string Doc = "\n" + Lines;
+  return withRetries([&] { return appendToFile(Path, Doc, Error); }, Path);
+}
+
 /// Preserves damaged lines by appending them verbatim to the store
 /// file's `.quarantine` sibling — corruption is evidence (of bad RAM, a
 /// lying NFS server, a half-dead disk), and evidence should survive the
@@ -215,16 +232,8 @@ struct ScanStats {
 
 /// One of the four store files, described once: fsck's name for it,
 /// where it lives, what its header says, and how a record yields its
-/// key. Every read and write of a store file is one of its scan(),
-/// append(), rewrite() or save().
-///
-/// Line discipline: a file is a header line followed by framed record
-/// lines. Every append leads with a newline, and loads skip empty lines,
-/// so whatever fragment another writer's torn append left at the tail
-/// ends up a line of its own that fails its CRC and is quarantined — it
-/// never fuses with a record save() acknowledged. No check of the tail
-/// can promise that: another writer can tear it between the check and
-/// the append.
+/// key. A file is a header line followed by framed record lines; every
+/// read of it is scan(), every write rewrite(), save() or appendLines().
 struct RecordFile {
   const char *Name;
   std::string Path;
@@ -350,18 +359,6 @@ struct RecordFile {
     return S;
   }
 
-  /// Appends framed \p Lines behind the leading newline, lock-free, as
-  /// one O_APPEND write retried with backoff. A failed attempt may have
-  /// landed part of the batch; the retry's own leading newline cuts that
-  /// fragment off, and any complete lines it did land become duplicates
-  /// the loaders fold away. Empty \p Lines touch nothing.
-  bool append(const std::string &Lines, std::string *Error) const {
-    if (Lines.empty())
-      return true;
-    std::string Doc = "\n" + Lines;
-    return withRetries([&] { return appendToFile(Path, Doc, Error); }, Path);
-  }
-
   /// Replaces the whole file with \p Doc (temporary + rename, retried)
   /// under `<file>.lock`, so two processes rebuilding the same file
   /// serialize instead of last-rename-wins silently dropping one side's
@@ -373,29 +370,27 @@ struct RecordFile {
            replaceWithRetries(Path, Doc, Error);
   }
 
-  /// save()'s way onto disk; compaction's with \p Rewrite. \p Lines
-  /// returns framed record lines: with All every record this process
-  /// holds, otherwise only those the file lacks. A file that carries
-  /// its header gets the lacking lines appended. Any other file —
-  /// missing, or with a damaged or stale header — holds nothing worth
-  /// keeping and is laid down anew (header plus every record) under the
-  /// lock, after the header is probed once more under it: when two
-  /// writers meet the same missing file, the second appends to the
-  /// first one's file instead of renaming its records away. Only a
-  /// rename that save() really makes bumps `cachestore.save_rewrites`.
-  bool save(const std::function<std::string(bool All)> &Lines, bool Rewrite,
+  /// save()'s way onto disk. \p Lines returns framed record lines: with
+  /// All every record this process holds, otherwise only those the file
+  /// lacks. A file that carries its header gets the lacking lines
+  /// appended. Any other file — missing, or with a damaged or stale
+  /// header — holds nothing worth keeping and is laid down anew (header
+  /// plus every record) under the lock, after the header is probed once
+  /// more under it: when two writers meet the same missing file, the
+  /// second appends to the first one's file instead of renaming its
+  /// records away. Only such a rename bumps `cachestore.save_rewrites`.
+  bool save(const std::function<std::string(bool All)> &Lines,
             unsigned LockWaitMs, std::string *Error) const {
-    if (!Rewrite && headerOnDisk())
-      return append(Lines(false), Error);
+    if (headerOnDisk())
+      return appendLines(Path, Lines(false), Error);
     FileLock Lock;
     if (!Lock.acquire(Path + ".lock", LockWaitMs, Error))
       return false;
-    if (!Rewrite && headerOnDisk())
-      return append(Lines(false), Error);
+    if (headerOnDisk())
+      return appendLines(Path, Lines(false), Error);
     if (!replaceWithRetries(Path, header() + Lines(true), Error))
       return false;
-    if (!Rewrite)
-      globalMetrics().counter("cachestore.save_rewrites").add();
+    globalMetrics().counter("cachestore.save_rewrites").add();
     return true;
   }
 };
@@ -680,6 +675,13 @@ bool CacheStore::open(const std::string &Dir, std::string *Error) {
 bool CacheStore::writeFiles(unsigned Files, bool Rewrite,
                             std::string *Error) {
   std::string Dir = dirOf(Path);
+  // save() extends each file with what it lacks; compaction lays the
+  // file down anew from memory.
+  auto Write = [&](const RecordFile &File, const auto &Lines) {
+    return Rewrite ? File.rewrite(File.header() + Lines(true), LockWaitMs,
+                                  Error)
+                   : File.save(Lines, LockWaitMs, Error);
+  };
   if (Files & ResultsBit) {
     std::vector<std::string> Keys;
     auto Lines = [&](bool All) {
@@ -702,7 +704,7 @@ bool CacheStore::writeFiles(unsigned Files, bool Rewrite,
       }
       return Doc;
     };
-    if (!resultsFile(Dir).save(Lines, Rewrite, LockWaitMs, Error))
+    if (!Write(resultsFile(Dir), Lines))
       return false;
     PersistedKeys.insert(Keys.begin(), Keys.end());
   }
@@ -720,7 +722,7 @@ bool CacheStore::writeFiles(unsigned Files, bool Rewrite,
       }
       return Doc;
     };
-    if (!profilesFile(Dir).save(Lines, Rewrite, LockWaitMs, Error))
+    if (!Write(profilesFile(Dir), Lines))
       return false;
     PersistedProfKeys.insert(Keys.begin(), Keys.end());
   }
@@ -740,7 +742,7 @@ bool CacheStore::writeFiles(unsigned Files, bool Rewrite,
       }
       return Doc;
     };
-    if (!incumbentsFile(Dir).save(Lines, Rewrite, LockWaitMs, Error))
+    if (!Write(incumbentsFile(Dir), Lines))
       return false;
     for (const auto &[Group, Energy] : Energies)
       PersistedIncEnergy[Group] = Energy;
@@ -895,8 +897,7 @@ bool CacheStore::appendJournal(const JobResult &R, std::string *Error) {
     return true;
   JsonWriter W(/*Pretty=*/false);
   writeJobResult(W, R);
-  return journalFile(dirOf(JournalPath), std::nullopt)
-      .append(framedLine(W.str()), Error);
+  return appendLines(JournalPath, framedLine(W.str()), Error);
 }
 
 void CacheStore::clearJournal() {
@@ -916,15 +917,19 @@ bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
   // The journal is checked under *any* configuration token: fsck is a
   // maintenance pass, and which solver limits an interrupted run used is
   // the resume path's business, not an integrity question. Its raw
-  // header and servable lines are kept for its repair.
+  // header and servable lines are kept for its repair, below; every
+  // other file is paired with the writeFiles() bit that repairs it.
   std::string Dir = dirOf(Path);
-  const RecordFile Files[] = {resultsFile(Dir), profilesFile(Dir),
-                              incumbentsFile(Dir),
-                              journalFile(Dir, std::nullopt)};
-  const RecordFile &Journal = Files[3];
+  const std::pair<RecordFile, unsigned> Files[] = {
+      {resultsFile(Dir), ResultsBit},
+      {profilesFile(Dir), ProfilesBit},
+      {incumbentsFile(Dir), IncumbentsBit},
+      {journalFile(Dir, std::nullopt), 0}};
+  const RecordFile &Journal = Files[3].first;
   std::string JournalHeader;
   std::vector<std::string> JournalLines;
-  for (const RecordFile &File : Files) {
+  unsigned Damaged = 0;
+  for (const auto &[File, Bit] : Files) {
     bool IsJournal = &File == &Journal;
     FsckFile F;
     F.Name = File.Name;
@@ -955,6 +960,8 @@ bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
     // line, not a corrupt one.
     if (S.SawFirstLine && !S.HeaderOk && !S.HeaderDamaged)
       ++F.Stale;
+    if (F.damaged())
+      Damaged |= Bit;
     Report.Files.push_back(F);
   }
 
@@ -965,10 +972,6 @@ bool CacheStore::fsck(bool Repair, FsckReport &Report, std::string *Error) {
   // the locked compaction rewrite: valid records only, deduplicated,
   // fresh framed header. Corrupt lines were quarantined during the walk;
   // lines stranded under an untrusted header fall with it.
-  unsigned Damaged = 0;
-  for (unsigned I = 0; I != 3; ++I)
-    if (Report.Files[I].damaged())
-      Damaged |= 1u << I; // ResultsBit, ProfilesBit, IncumbentsBit
   if (Damaged && !writeFiles(Damaged, /*Rewrite=*/true, Error))
     return false;
 

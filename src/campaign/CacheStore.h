@@ -300,9 +300,10 @@ public:
   void setLockWaitMs(unsigned Ms) { LockWaitMs = Ms; }
 
 private:
-  /// Writes the results, profile and incumbent files \p Files selects
-  /// (a bit mask in that order): save()'s append-what-is-missing, or
-  /// with \p Rewrite the locked compaction rewrite from memory.
+  /// Writes the results, profile and incumbent files whose bits
+  /// (ResultsBit, ProfilesBit, IncumbentsBit) \p Files sets: save()'s
+  /// append-what-is-missing, or with \p Rewrite the locked compaction
+  /// rewrite from memory.
   bool writeFiles(unsigned Files, bool Rewrite, std::string *Error);
 
   ResultCache Cache;

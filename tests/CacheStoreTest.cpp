@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -675,7 +676,7 @@ TEST(CacheStore, AppendedImprovementWinsOnLoadAndCompactFolds) {
   // compactIncumbents folds the duplicates to one line per group.
   ASSERT_TRUE(Reload.compactIncumbents());
   std::string Compacted = slurp(Path);
-  EXPECT_EQ(nonEmptyLines(Compacted), 2u);
+  EXPECT_EQ(std::count(Compacted.begin(), Compacted.end(), '\n'), 2);
   CacheStore Again;
   ASSERT_TRUE(Again.open(Dir));
   EXPECT_EQ(Again.loadedIncumbents(), 1u);

@@ -325,8 +325,9 @@ TEST(Journal, TornTailIsDroppedAndNeverPoisonsLaterAppends) {
   std::ofstream(Store.journalPath(), std::ios::binary)
       << Doc.substr(0, Doc.size() - Doc.size() / 4);
 
-  // Resume drops exactly the torn tail, keeps the complete prefix, and
-  // terminates the fragment so the next append starts a fresh line.
+  // Resume drops exactly the torn tail and keeps the complete prefix;
+  // the next append's leading newline leaves the fragment a line of its
+  // own.
   CacheStore Resumed;
   ASSERT_TRUE(Resumed.open(Dir));
   ASSERT_TRUE(Resumed.beginJournal("cfg", true, &Error)) << Error;

@@ -276,8 +276,11 @@ TEST(StoreIntegrity, FlippedJournalBitIsNeverReplayed) {
   }
   std::string Path = storeFile(Dir, "progress.jsonl");
   std::string Doc = slurp(Path);
-  size_t Second = Doc.find('\n', Doc.find('\n') + 1) + 1; // third line
-  size_t Mid = Second + (Doc.size() - Second) / 2;
+  // Mid-payload of the last record; every append opens a fresh line, so
+  // records are separated by empty lines.
+  size_t End = Doc.find_last_not_of('\n') + 1;
+  size_t Last = Doc.rfind('\n', End - 1) + 1;
+  size_t Mid = Last + (End - Last) / 2;
   Doc[Mid] = static_cast<char>(Doc[Mid] ^ 0x01);
   ASSERT_TRUE(writeTextFile(Path, Doc));
 
@@ -664,8 +667,11 @@ TEST(StoreIntegrity, FsckRepairsTheJournalKeepingItsHeaderVerbatim) {
   std::string Path = storeFile(Dir, "progress.jsonl");
   std::string Doc = slurp(Path);
   std::string Header = Doc.substr(0, Doc.find('\n'));
-  size_t Second = Doc.find('\n', Doc.find('\n') + 1) + 1;
-  size_t Mid = Second + (Doc.size() - Second) / 2;
+  // Mid-payload of the last record; every append opens a fresh line, so
+  // records are separated by empty lines.
+  size_t End = Doc.find_last_not_of('\n') + 1;
+  size_t Last = Doc.rfind('\n', End - 1) + 1;
+  size_t Mid = Last + (End - Last) / 2;
   Doc[Mid] = static_cast<char>(Doc[Mid] ^ 0x01);
   ASSERT_TRUE(writeTextFile(Path, Doc));
 
