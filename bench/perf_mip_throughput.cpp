@@ -3,14 +3,7 @@
 // Part of ramloc, a reproduction of "Optimizing the flash-RAM energy
 // trade-off in deeply embedded systems" (Pallister et al., CGO 2015).
 //
-// The perf harness for the solve-once/branch-cheap split. Three levels:
-//
-//  - Tableau level: the bounded-variable simplex keeps one row per
-//    constraint — variable boxes are data, not rows — where the
-//    explicit-bound-row formulation (through PR 4) carried an upper-bound
-//    row per finite-upper variable plus a lower-bound row per integer
-//    variable. bounded/explicit_tableau_rows count both over the model
-//    mix; CI asserts the ratio stays <= 0.6.
+// The perf harness for the solve-once/branch-cheap split:
 //
 //  - Node level: the same Section 4 placement MIPs solved with
 //    WarmNodes off (every branch & bound node pays a fresh solve) and on
@@ -20,11 +13,10 @@
 //    stays >= 2x. cold/warm_pivots_per_node record how much simplex work
 //    one node costs each way.
 //
-//  - Pricing level: the warm node mix re-run under each SolverConfig::
-//    Pricing rule. All rules are exact, so only pivot counts move; the
+//  - Pricing level: the warm node mix re-run under dual steepest-edge
+//    and Dantzig pricing. Both are exact, so only pivot counts move; the
 //    steepest-edge / Dantzig dual-pivot ratio is the headline number and
-//    CI asserts it stays <= 0.7. A strong-branching pass (K=8 root
-//    probes) records how the seeded pseudo-costs shape the tree.
+//    CI asserts it stays <= 0.7.
 //
 //  - Parallel level: the same warm-noded solves with the branch & bound
 //    tree fanned out over SolverConfig::Threads work-stealing workers,
@@ -51,7 +43,6 @@
 #include "support/Metrics.h"
 #include "support/Timer.h"
 
-#include <cmath>
 #include <thread>
 #include <cstdio>
 #include <string>
@@ -107,7 +98,7 @@ double measureFor(double MinSeconds, unsigned &Iters, Fn &&Body) {
 struct SolverEffort {
   uint64_t Solves = 0, WarmStarts = 0;
   uint64_t Nodes = 0, Primal = 0, Dual = 0;
-  uint64_t PricingUpdates = 0, Probes = 0;
+  uint64_t PricingUpdates = 0;
 };
 
 template <typename Fn> SolverEffort counterWindow(Fn &&Body) {
@@ -117,8 +108,7 @@ template <typename Fn> SolverEffort counterWindow(Fn &&Body) {
                       M.counterValue("mip.nodes"),
                       M.counterValue("mip.primal_pivots"),
                       M.counterValue("mip.dual_pivots"),
-                      M.counterValue("mip.pricing.updates"),
-                      M.counterValue("mip.strongbranch.probes")};
+                      M.counterValue("mip.pricing.updates")};
   Body();
   SolverEffort E;
   E.Solves = M.counterValue("mip.solves") - Before.Solves;
@@ -127,7 +117,6 @@ template <typename Fn> SolverEffort counterWindow(Fn &&Body) {
   E.Primal = M.counterValue("mip.primal_pivots") - Before.Primal;
   E.Dual = M.counterValue("mip.dual_pivots") - Before.Dual;
   E.PricingUpdates = M.counterValue("mip.pricing.updates") - Before.PricingUpdates;
-  E.Probes = M.counterValue("mip.strongbranch.probes") - Before.Probes;
   return E;
 }
 
@@ -158,47 +147,18 @@ int main() {
       Set.Knobs.push_back(K);
     }
 
-  // --- tableau level: bounded-variable vs explicit-bound-row rows --------
-  uint64_t BoundedRows = 0, ExplicitRows = 0;
-  for (const ModelParams &MP : Set.Models) {
-    PlacementModel PM = buildPlacementModel(MP, Set.Knobs.front());
-    // The bounded tableau's truth comes from the solver itself: one
-    // basic column per row in the solved basis.
-    LpSolution S = solveLp(PM.P);
-    BoundedRows += S.Basis.size();
-    // The explicit-bound-row formulation carried every constraint plus
-    // one upper-bound row per finite-upper variable plus one lower-bound
-    // row per integer variable.
-    uint64_t Explicit = PM.P.numConstraints();
-    for (const LpVariable &V : PM.P.Variables) {
-      if (std::isfinite(V.Upper))
-        ++Explicit;
-      if (V.Integer)
-        ++Explicit;
-    }
-    ExplicitRows += Explicit;
-  }
-  double RowRatio =
-      ExplicitRows ? double(BoundedRows) / double(ExplicitRows) : 1.0;
-  std::printf("tableau rows: %llu bounded-variable vs %llu "
-              "explicit-bound-row (%.2fx)\n",
-              static_cast<unsigned long long>(BoundedRows),
-              static_cast<unsigned long long>(ExplicitRows), RowRatio);
-
   // Per-solve node cap: keeps a single pass to CI-friendly seconds. Both
   // modes get the same budget, so the throughput ratio stays fair.
   constexpr unsigned MaxNodes = 1500;
 
   // --- node level: cold two-phase vs warm dual re-optimization -----------
   auto solveAll = [&](bool WarmNodes, unsigned Threads = 1,
-                      Pricing Rule = Pricing::SteepestEdge,
-                      unsigned StrongBranchK = 0) {
+                      Pricing Rule = Pricing::SteepestEdge) {
     SolverConfig Cfg;
     Cfg.WarmNodes = WarmNodes;
     Cfg.MaxNodes = MaxNodes;
     Cfg.Threads = Threads;
     Cfg.PricingRule = Rule;
-    Cfg.StrongBranchK = StrongBranchK;
     for (const ModelParams &MP : Set.Models)
       for (const ModelKnobs &K : Set.Knobs)
         (void)solvePlacement(MP, K, Cfg);
@@ -239,19 +199,16 @@ int main() {
               NodeSpeedup);
 
   // --- pricing level: per-rule pivot counts on the warm node mix ---------
-  // Every rule retires the same answers (exactness is pinned by tests);
-  // what differs is the pivots spent. Steepest-edge vs Dantzig on the
-  // warm mix is the headline: the dual simplex dominates warm re-solves,
-  // and CI asserts the steepest-edge dual-pivot total stays <= 0.7x
-  // Dantzig's.
+  // Both rules retire the same answers (exactness is pinned by tests);
+  // what differs is the pivots spent. The dual simplex dominates warm
+  // re-solves, and CI asserts the steepest-edge dual-pivot total stays
+  // <= 0.7x Dantzig's.
   struct RulePass {
     Pricing Rule;
     SolverEffort E;
   };
   RulePass RulePasses[] = {{Pricing::SteepestEdge, {}},
-                           {Pricing::Dantzig, {}},
-                           {Pricing::PartialDantzig, {}},
-                           {Pricing::Bland, {}}};
+                           {Pricing::Dantzig, {}}};
   for (RulePass &RP : RulePasses) {
     RP.E = counterWindow([&] { solveAll(true, 1, RP.Rule); });
     std::printf("pricing %-13s %llu dual + %llu primal pivots per warm "
@@ -267,15 +224,6 @@ int main() {
           : 1.0;
   std::printf("pricing steepest-edge/dantzig dual-pivot ratio: %.2fx\n",
               SteepestVsDantzigDual);
-
-  // --- strong branching: root probes vs tree size ------------------------
-  SolverEffort SbPass =
-      counterWindow([&] { solveAll(true, 1, Pricing::SteepestEdge, 8); });
-  std::printf("strong branching (K=8): %llu nodes per pass (vs %llu "
-              "without), %llu root probes\n",
-              static_cast<unsigned long long>(SbPass.Nodes),
-              static_cast<unsigned long long>(RulePasses[0].E.Nodes),
-              static_cast<unsigned long long>(SbPass.Probes));
 
   // --- parallel level: the warm tree search over a work-stealing pool ----
   // Node throughput, not wall time per config: tree shapes legitimately
@@ -339,12 +287,9 @@ int main() {
 
   JsonWriter W;
   W.beginObject();
-  W.field("schema", "ramloc-bench-mip-throughput-v4");
+  W.field("schema", "ramloc-bench-mip-throughput-v5");
   W.field("benchmarks", static_cast<uint64_t>(Set.Models.size()));
   W.field("knob_points", static_cast<uint64_t>(Set.Knobs.size()));
-  W.field("bounded_tableau_rows", BoundedRows);
-  W.field("explicit_tableau_rows", ExplicitRows);
-  W.field("tableau_row_ratio", RowRatio);
   W.field("cold_nodes_per_pass", ColdNodes);
   W.field("warm_nodes_per_pass", WarmNodes);
   W.field("cold_primal_pivots", ColdPrimal);
@@ -366,8 +311,6 @@ int main() {
     W.field((Prefix + "_weight_updates").c_str(), RP.E.PricingUpdates);
   }
   W.field("pricing_steepest_vs_dantzig_dual_ratio", SteepestVsDantzigDual);
-  W.field("strongbranch_nodes_per_pass", SbPass.Nodes);
-  W.field("strongbranch_probes_per_pass", SbPass.Probes);
   W.field("solver_threads", static_cast<uint64_t>(SolverThreads));
   W.field("hardware_concurrency", static_cast<uint64_t>(HwThreads));
   W.field("par_nodes_per_pass", ParNodes);

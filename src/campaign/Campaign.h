@@ -41,7 +41,7 @@
 /// whose optimal placements coincide — they often do — additionally share
 /// one apply+measure call, keyed by the assignment itself. Warm and cold
 /// solves are both exact, so reports are byte-identical with solve reuse
-/// on or off (CampaignOptions::ReuseSolves, `--no-solve-reuse`).
+/// on or off (CampaignOptions::ReuseSolves, `--reuse` without `solve`).
 ///
 /// Even the group's first solve need not start from nothing: an
 /// IncumbentStore remembers the best-known placement per solve group —
@@ -49,11 +49,11 @@
 /// seeds its first cold solve with it. The seed is re-validated at zero
 /// tolerance under the actual knobs before it may prune anything, so a
 /// stale assignment costs nothing and results stay byte-identical with
-/// seeding on or off (CampaignOptions::SeedIncumbents,
-/// `--no-incumbent-seed`) whenever the optimal placement is unique —
-/// two distinct placements with bit-equal modelled energy being the one
-/// case any pair of exact solvers may legitimately disagree on, the
-/// same caveat warm knob chaining has carried since PR 4; what a fresh
+/// seeding on or off (CampaignOptions::SeedIncumbents, `--reuse` without
+/// `incumbent`) whenever the optimal placement is unique — two distinct
+/// placements with bit-equal modelled energy being the one case any pair
+/// of exact solvers may legitimately disagree on, the same caveat warm
+/// knob chaining carries; what a fresh
 /// grid gains is a proven-quality incumbent before the first node is
 /// explored.
 ///
@@ -150,7 +150,7 @@ struct JobResult {
   SolveStatus SolveOutcome = SolveStatus::Optimal;
   /// Provenance/solver diagnostics. Never serialized: reports must not
   /// depend on how a result was obtained (--diff ignores these fields for
-  /// the same reason — node-order or seeding changes must never read as
+  /// the same reason — pricing or seeding changes must never read as
   /// result drift).
   bool CacheHit = false;
   unsigned Extractions = 0; ///< parameter extractions this result ran
@@ -270,8 +270,8 @@ struct CampaignOptions {
   /// byte-identical either way whenever the optimal placement is unique
   /// (seeds are re-validated at zero tolerance and both paths are exact;
   /// bit-equal-energy ties are the one legitimate divergence, as for
-  /// warm knob chaining); `--no-incumbent-seed` is the A/B escape hatch
-  /// that proves it.
+  /// warm knob chaining); `--reuse` without `incumbent` is the A/B escape
+  /// hatch that proves it.
   bool SeedIncumbents = true;
   /// Registry the campaign records its counters into (campaign.* keys:
   /// extractions, cold/warm solves, incumbent seeds, full sims vs

@@ -143,8 +143,8 @@ void ramloc::writeJobResult(JsonWriter &W, const JobResult &R) {
   // Solver-effort counters (ColdSolves/WarmSolves/IncumbentSeeds/pivots)
   // are deliberately NOT serialized: reports must not depend on how a
   // result was obtained, or the byte-identity guarantees (cached vs
-  // computed, warm vs --no-solve-reuse, seeded vs --no-incumbent-seed,
-  // any node order) would be unachievable. parseJobResult still accepts
+  // computed, warm vs cold, seeded vs unseeded, any pricing rule) would
+  // be unachievable. parseJobResult still accepts
   // an optional "solver" block from diagnostic dialects, and --diff
   // ignores it.
   W.endObject();
@@ -237,7 +237,7 @@ bool ramloc::parseJobResult(const JsonValue &V, JobResult &Out,
   // Optional solver-effort diagnostics (not part of the canonical
   // dialect; never re-serialized): tolerate and absorb them so a report
   // annotated by an external tool still parses, compares and merges —
-  // and so --diff can never mistake effort drift (a node-order or
+  // and so --diff can never mistake effort drift (a pricing or
   // incumbent-seeding change) for result drift. Unknown subfields
   // (pivot counts and whatever a future dialect adds) are skipped.
   if (const JsonValue *Solver = V.find("solver")) {

@@ -29,20 +29,10 @@ struct Node {
   std::vector<double> Lower;
   std::vector<double> Upper;
   double Bound;      ///< parent LP objective: lower bound on this subtree
-  uint64_t Seq = 0;  ///< creation order; heap tie-break towards diving
   int BranchVar = -1; ///< variable whose bound created this node
   bool BranchUp = false; ///< true: forced to 1; false: forced to 0
   double FracDist = 0.0; ///< fractional distance the branch moved it
 };
-
-/// Heap discipline for best-bound mode: the "largest" element (heap top)
-/// is the open node with the smallest parent bound; among equal bounds
-/// the youngest node wins, which keeps ties diving like Dfs would.
-bool worseThan(const Node &A, const Node &B) {
-  if (A.Bound != B.Bound)
-    return A.Bound > B.Bound;
-  return A.Seq < B.Seq;
-}
 
 /// Rounds an LP point to the nearest binary assignment; returns true if
 /// the rounded point is feasible. Cheap incumbent generator.
@@ -170,10 +160,12 @@ struct PseudoCosts {
 
 /// Folds one node relaxation's effort into the search ledger.
 void accumulateLp(SolverStats &St, const LpSolution &Relax) {
-  if (Relax.WarmStarted)
+  if (Relax.WarmStarted) {
     ++St.WarmNodeSolves;
-  else
+  } else {
     ++St.ColdNodeSolves;
+    ++St.ColdRebuilds[static_cast<unsigned>(Relax.RebuildReason)];
+  }
   St.PrimalPivots += Relax.Iterations;
   St.DualPivots += Relax.DualIterations;
   St.BoundFlips += Relax.BoundFlips;
@@ -196,16 +188,14 @@ int pickBranchVariable(const LpProblem &P, const std::vector<double> &X,
   // Tree-wide average per-unit degradation, the fallback estimate.
   double Sum = 0.0;
   unsigned Cnt = 0;
-  if (Opts.PseudoCostBranching) {
-    for (unsigned J = 0, E = P.numVariables(); J != E; ++J) {
-      if (PC.DownCnt[J]) {
-        Sum += PC.DownSum[J] / PC.DownCnt[J];
-        ++Cnt;
-      }
-      if (PC.UpCnt[J]) {
-        Sum += PC.UpSum[J] / PC.UpCnt[J];
-        ++Cnt;
-      }
+  for (unsigned J = 0, E = P.numVariables(); J != E; ++J) {
+    if (PC.DownCnt[J]) {
+      Sum += PC.DownSum[J] / PC.DownCnt[J];
+      ++Cnt;
+    }
+    if (PC.UpCnt[J]) {
+      Sum += PC.UpSum[J] / PC.UpCnt[J];
+      ++Cnt;
     }
   }
   double Fallback = Cnt ? Sum / Cnt : 1.0;
@@ -217,15 +207,10 @@ int pickBranchVariable(const LpProblem &P, const std::vector<double> &X,
     double Frac = std::min(V - std::floor(V), std::ceil(V) - V);
     if (Frac <= Opts.IntegerTolerance)
       continue;
-    double Score;
-    if (Opts.PseudoCostBranching) {
-      double Down = V - std::floor(V);
-      double Up = std::ceil(V) - V;
-      Score = std::max(Down * PC.estimate(J, false, Fallback), 1e-12) *
-              std::max(Up * PC.estimate(J, true, Fallback), 1e-12);
-    } else {
-      Score = Frac;
-    }
+    double Down = V - std::floor(V);
+    double Up = std::ceil(V) - V;
+    double Score = std::max(Down * PC.estimate(J, false, Fallback), 1e-12) *
+                   std::max(Up * PC.estimate(J, true, Fallback), 1e-12);
     if (BranchVar < 0 || Score > BestScore) {
       BranchVar = static_cast<int>(J);
       BestScore = Score;
@@ -235,16 +220,15 @@ int pickBranchVariable(const LpProblem &P, const std::vector<double> &X,
 }
 
 /// Splits \p N on \p BranchVar and hands both children to \p Push,
-/// closer side last: a LIFO shard pops the last pushed node, and the
-/// heap breaks bound ties towards the younger Seq — either way the
+/// closer side last: the LIFO open list pops the last pushed node, so the
 /// search dives into the half the relaxation already leans towards.
 template <typename PushFn>
 void branchNode(Node &&N, int BranchVar, double Frac, double Bound,
                 PushFn &&Push) {
   unsigned BV = static_cast<unsigned>(BranchVar);
-  Node Zero{N.Lower, N.Upper, Bound, 0, BranchVar, false, Frac};
+  Node Zero{N.Lower, N.Upper, Bound, BranchVar, false, Frac};
   Zero.Upper[BV] = 0.0;
-  Node One{std::move(N.Lower), std::move(N.Upper), Bound, 0, BranchVar, true,
+  Node One{std::move(N.Lower), std::move(N.Upper), Bound, BranchVar, true,
            1.0 - Frac};
   One.Lower[BV] = 1.0;
   if (Frac >= 0.5) {
@@ -257,140 +241,14 @@ void branchNode(Node &&N, int BranchVar, double Frac, double Bound,
 }
 
 //===----------------------------------------------------------------------===//
-// Root strong branching.
-//===----------------------------------------------------------------------===//
-
-/// Probes the top-K branching candidates at the root by actually solving
-/// both children with bounded dual re-solves, and seeds the pseudo-cost
-/// history with the observed degradations — so the very first branching
-/// decision already ranks by measured impact instead of raw fraction.
-/// Candidates are ranked most-fractional-first (no pseudo-costs exist at
-/// the root yet), two probes per candidate, fanned over up to
-/// SolverConfig::Threads worker threads.
-///
-/// Determinism: every probe re-optimizes its *own clone* of the solved
-/// root tableau, so each probe's outcome and pivot count are independent
-/// of which thread ran it and in what order; results land in fixed
-/// per-probe slots and are folded into the pseudo-cost history in
-/// candidate order after all probes finish. Probes only inform the
-/// branching order (inconclusive ones are simply skipped), so the
-/// search's answer is byte-identical with strong branching on or off.
-void strongBranchRoot(const LpProblem &P, const SolverConfig &Cfg,
-                      const SearchLimits &Limits, const WarmStart &RootWs,
-                      const std::vector<double> &RootLo,
-                      const std::vector<double> &RootHi,
-                      const LpSolution &Root, PseudoCosts &PC,
-                      SolverStats &St) {
-  struct Cand {
-    unsigned Var;
-    double DownDist; ///< V - floor(V); up distance is 1 - DownDist
-  };
-  std::vector<Cand> Cands;
-  for (unsigned J = 0, E = P.numVariables(); J != E; ++J) {
-    if (!P.Variables[J].Integer)
-      continue;
-    double V = Root.Values[J];
-    double Down = V - std::floor(V);
-    if (std::min(Down, 1.0 - Down) > Cfg.IntegerTolerance)
-      Cands.push_back({J, Down});
-  }
-  std::stable_sort(Cands.begin(), Cands.end(),
-                   [](const Cand &A, const Cand &B) {
-                     return std::min(A.DownDist, 1.0 - A.DownDist) >
-                            std::min(B.DownDist, 1.0 - B.DownDist);
-                   });
-  if (Cands.size() > Cfg.StrongBranchK)
-    Cands.resize(Cfg.StrongBranchK);
-  if (Cands.empty())
-    return;
-
-  struct Probe {
-    unsigned Var;
-    bool Up;
-    double Dist;
-  };
-  std::vector<Probe> Probes;
-  Probes.reserve(Cands.size() * 2);
-  for (const Cand &C : Cands) {
-    Probes.push_back({C.Var, false, C.DownDist});
-    Probes.push_back({C.Var, true, 1.0 - C.DownDist});
-  }
-
-  struct Result {
-    bool Conclusive = false;
-    double Degradation = 0.0;
-  };
-  std::vector<Result> Results(Probes.size());
-  unsigned Pool = std::min<size_t>(std::max(1u, Cfg.Threads), Probes.size());
-  std::vector<SolverStats> ProbeStats(Pool);
-  std::atomic<size_t> NextProbe{0};
-
-  auto runProbes = [&](unsigned T) {
-    SolverStats &S = ProbeStats[T];
-    for (;;) {
-      size_t I = NextProbe.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Probes.size())
-        return;
-      // A passed deadline drains the remaining probes unrun (their
-      // slots stay inconclusive): probes are a head start, never owed.
-      if (Limits.deadlinePassed())
-        continue;
-      const Probe &Pr = Probes[I];
-      WarmStart W = RootWs.clone();
-      std::vector<double> Lo = RootLo, Hi = RootHi;
-      if (Pr.Up)
-        Lo[Pr.Var] = 1.0;
-      else
-        Hi[Pr.Var] = 0.0;
-      LpSolution Child = resolveLpFromBasis(P, Lo, Hi, W, Cfg);
-      ++S.StrongBranchProbes;
-      S.PrimalPivots += Child.Iterations;
-      S.DualPivots += Child.DualIterations;
-      S.BoundFlips += Child.BoundFlips;
-      S.PricingUpdates += Child.PricingUpdates;
-      S.PricingRecomputes += Child.PricingRecomputes;
-      S.PricingDrift += Child.PricingDrift;
-      if (Child.Status == LpStatus::Optimal)
-        Results[I] = {true, Child.Objective - Root.Objective};
-    }
-  };
-
-  if (Pool <= 1) {
-    runProbes(0);
-  } else {
-    std::vector<std::thread> Threads;
-    Threads.reserve(Pool);
-    for (unsigned T = 0; T != Pool; ++T)
-      Threads.emplace_back([&, T] { runProbes(T); });
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  // Seed in fixed probe order so the pseudo-cost sums are bit-identical
-  // regardless of thread scheduling.
-  for (size_t I = 0; I != Probes.size(); ++I) {
-    if (!Results[I].Conclusive)
-      continue;
-    PC.observe(Probes[I].Var, Probes[I].Up, Results[I].Degradation,
-               Probes[I].Dist);
-    ++St.StrongBranchSeeds;
-  }
-  for (const SolverStats &S : ProbeStats)
-    St.merge(S);
-}
-
-//===----------------------------------------------------------------------===//
 // Parallel tree search.
 //===----------------------------------------------------------------------===//
 
 /// Work-stealing search over the open list, JobQueue-style: one deque
-/// shard per worker, own-end pops, sibling steals when dry. Dfs shards
-/// pop their own back (diving) and steal a victim's *front* — the oldest
-/// node, closest to the root, i.e. the largest unexplored subtree, which
-/// keeps steals rare. Best-bound shards maintain the heap discipline
-/// in-place (deque iterators are random-access), and a steal takes the
-/// victim's heap top; Hybrid shards convert to heaps lazily once the
-/// shared incumbent exists. Termination and result selection are in
+/// shard per worker, own-end pops, sibling steals when dry. Owners pop
+/// their own back (diving) and thieves take a victim's *front* — the
+/// oldest node, closest to the root, i.e. the largest unexplored subtree,
+/// which keeps steals rare. Termination and result selection are in
 /// BranchBound.h's file comment: Pending/Queued counters close the
 /// search, the canonical incumbent order makes the answer independent of
 /// worker scheduling.
@@ -398,7 +256,6 @@ struct ParallelTree {
   struct Shard {
     std::deque<Node> Q;
     std::mutex Mu;
-    bool Heap = false;
   };
 
   const LpProblem &P;
@@ -424,7 +281,6 @@ struct ParallelTree {
   double IncObjective = 0.0;
   std::vector<double> IncValues;
 
-  std::atomic<uint64_t> NextSeq{0};
   std::atomic<unsigned> Explored{0};
   std::atomic<bool> LostProof{false};
   std::atomic<bool> SawUnbounded{false};
@@ -439,11 +295,7 @@ struct ParallelTree {
                const SearchLimits &Limits, unsigned NumWorkers,
                const WarmStart *RootWs)
       : P(P), Cfg(Cfg), Limits(Limits), NumWorkers(NumWorkers), RootWs(RootWs),
-        Shards(NumWorkers), WorkerStats(NumWorkers) {
-    if (Cfg.Order == NodeOrder::BestBound)
-      for (Shard &S : Shards)
-        S.Heap = true;
-  }
+        Shards(NumWorkers), WorkerStats(NumWorkers) {}
 
   void seedIncumbent(double Obj, std::vector<double> Values) {
     IncObjective = Obj;
@@ -463,36 +315,18 @@ struct ParallelTree {
     }
   }
 
-  /// Hybrid shards flip to the heap discipline the first time they are
-  /// touched after the shared incumbent appears. Caller holds S.Mu.
-  void maybeConvert(Shard &S) {
-    if (!S.Heap && Cfg.Order == NodeOrder::Hybrid &&
-        HaveInc.load(std::memory_order_relaxed)) {
-      std::make_heap(S.Q.begin(), S.Q.end(), worseThan);
-      S.Heap = true;
-    }
-  }
-
   /// Direct push during single-threaded setup (root children).
   void pushInitial(Node &&N) {
-    N.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
-    Shard &S = Shards[0];
-    S.Q.push_back(std::move(N));
-    if (S.Heap)
-      std::push_heap(S.Q.begin(), S.Q.end(), worseThan);
+    Shards[0].Q.push_back(std::move(N));
     ++Queued;
     ++Pending;
   }
 
   void pushChild(unsigned Me, Node &&N) {
-    N.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
     Shard &S = Shards[Me];
     {
       std::lock_guard<std::mutex> L(S.Mu);
-      maybeConvert(S);
       S.Q.push_back(std::move(N));
-      if (S.Heap)
-        std::push_heap(S.Q.begin(), S.Q.end(), worseThan);
     }
     {
       std::lock_guard<std::mutex> L(StateMu);
@@ -502,21 +336,14 @@ struct ParallelTree {
     WorkCv.notify_one();
   }
 
-  /// Pops one node from \p Victim. Owners and thieves use the same heap
-  /// pop in heap mode (the best-bound node matters more than locality);
-  /// in diving mode the owner takes its newest node and a thief the
-  /// victim's oldest.
+  /// Pops one node from \p Victim: the owner takes its newest node, a
+  /// thief the victim's oldest.
   bool tryPop(unsigned Victim, bool Stealing, Node &Out) {
     Shard &S = Shards[Victim];
     std::lock_guard<std::mutex> L(S.Mu);
-    maybeConvert(S);
     if (S.Q.empty())
       return false;
-    if (S.Heap) {
-      std::pop_heap(S.Q.begin(), S.Q.end(), worseThan);
-      Out = std::move(S.Q.back());
-      S.Q.pop_back();
-    } else if (Stealing) {
+    if (Stealing) {
       Out = std::move(S.Q.front());
       S.Q.pop_front();
     } else {
@@ -637,15 +464,11 @@ struct ParallelTree {
                [&](Node &&Child) { pushChild(Me, std::move(Child)); });
   }
 
-  /// Root pseudo-cost history (strong-branching seeds) every worker
-  /// starts its own copy from; null = start empty.
-  const PseudoCosts *SeedPC = nullptr;
-
   void worker(unsigned Me) {
     WarmStart W;
     if (Cfg.WarmNodes && RootWs)
       W = RootWs->clone();
-    PseudoCosts PC = SeedPC ? *SeedPC : PseudoCosts(P.numVariables());
+    PseudoCosts PC(P.numVariables());
     SolverStats &St = WorkerStats[Me];
     Node N;
     while (claimNode(Me, N)) {
@@ -741,16 +564,11 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
       if (HaveIncumbent)
         PT.seedIncumbent(Best.Objective, Best.Values);
 
-      PseudoCosts RootPC(P.numVariables());
-      if (Cfg.StrongBranchK && Cfg.WarmNodes && Ws.valid())
-        strongBranchRoot(P, Cfg, Limits, Ws, RootLo, RootHi, Relax, RootPC,
-                         Best.Stats);
-      PT.SeedPC = &RootPC;
-      // The root solve's (and any strong-branch probes') pivots count
-      // against the search-wide budget.
+      // The root solve's pivots count against the search-wide budget.
       PT.PivotsUsed.store(Best.Stats.PrimalPivots + Best.Stats.DualPivots,
                           std::memory_order_relaxed);
-      int BranchVar = pickBranchVariable(P, Relax.Values, Cfg, RootPC);
+      int BranchVar = pickBranchVariable(P, Relax.Values, Cfg,
+                                         PseudoCosts(P.numVariables()));
       if (BranchVar < 0) {
         std::vector<double> Cand = std::move(Relax.Values);
         snapIntegers(P, Cand, Cfg.IntegerTolerance);
@@ -798,18 +616,13 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
 
   PseudoCosts PC(P.numVariables());
 
-  // The open list doubles as a stack (diving mode) and a binary heap
-  // (best-bound mode). Hybrid starts diving and heapifies once the first
-  // incumbent exists — from then on pops take the smallest-bound node.
+  // Depth-first diving: the open list is a stack, so every node is one
+  // bound change from the previous one and the warm repair stays local.
   std::vector<Node> Open;
-  uint64_t NextSeq = 0;
-  bool HeapMode = Cfg.Order == NodeOrder::BestBound ||
-                  (Cfg.Order == NodeOrder::Hybrid && HaveIncumbent);
   Node Root;
   Root.Lower = std::move(RootLo);
   Root.Upper = std::move(RootHi);
   Root.Bound = -std::numeric_limits<double>::infinity();
-  Root.Seq = NextSeq++;
   Open.push_back(std::move(Root));
 
   while (!Open.empty()) {
@@ -824,38 +637,18 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
       Best.Proven = false;
       break;
     }
-    if (!HeapMode && Cfg.Order == NodeOrder::Hybrid && HaveIncumbent) {
-      std::make_heap(Open.begin(), Open.end(), worseThan);
-      HeapMode = true;
-    }
-    if (HeapMode)
-      std::pop_heap(Open.begin(), Open.end(), worseThan);
     Node N = std::move(Open.back());
     Open.pop_back();
 
-    // Bound pruning against the incumbent. In best-bound mode the popped
-    // node has the smallest bound of the whole open list, so a prune
-    // here proves every remaining node away too.
-    if (HaveIncumbent && N.Bound >= Best.Objective - Cfg.GapTolerance) {
-      if (HeapMode)
-        break;
+    // Bound pruning against the incumbent.
+    if (HaveIncumbent && N.Bound >= Best.Objective - Cfg.GapTolerance)
       continue;
-    }
 
     ++Best.NodesExplored;
     LpSolution Relax = Cfg.WarmNodes
                            ? solveLpWarm(P, N.Lower, N.Upper, Ws, Cfg)
                            : solveLpWithBounds(P, N.Lower, N.Upper, Cfg);
     accumulateLp(Best.Stats, Relax);
-
-    // Root strong branching, serial flavour: the root is the first node
-    // popped (no creating branch), and its solved tableau is the one Ws
-    // holds right now — the probes clone it just like the parallel path
-    // clones the serially-solved root.
-    if (N.BranchVar < 0 && Cfg.StrongBranchK && Cfg.WarmNodes &&
-        Ws.valid() && Relax.Status == LpStatus::Optimal)
-      strongBranchRoot(P, Cfg, Limits, Ws, N.Lower, N.Upper, Relax, PC,
-                       Best.Stats);
 
     // Feed the branching history: this node's relaxation tells us what
     // its creating branch actually cost per unit of fraction moved.
@@ -910,12 +703,7 @@ MipSolution solveMipImpl(const LpProblem &P, const SolverConfig &Cfg,
 
     double Frac = Relax.Values[static_cast<unsigned>(BranchVar)];
     branchNode(std::move(N), BranchVar, Frac, Relax.Objective,
-               [&](Node &&Child) {
-                 Child.Seq = NextSeq++;
-                 Open.push_back(std::move(Child));
-                 if (HeapMode)
-                   std::push_heap(Open.begin(), Open.end(), worseThan);
-               });
+               [&](Node &&Child) { Open.push_back(std::move(Child)); });
   }
 
   if (Warm)
@@ -948,8 +736,12 @@ MipSolution ramloc::solveMip(const LpProblem &P, const SolverConfig &Cfg,
   M.counter("mip.pricing.updates").add(Sol.Stats.PricingUpdates);
   M.counter("mip.pricing.recomputes").add(Sol.Stats.PricingRecomputes);
   M.counter("mip.pricing.drift").add(Sol.Stats.PricingDrift);
-  M.counter("mip.strongbranch.probes").add(Sol.Stats.StrongBranchProbes);
-  M.counter("mip.strongbranch.seeds").add(Sol.Stats.StrongBranchSeeds);
+  // One reason per cold node solve: the reasons sum to
+  // mip.cold_node_solves.
+  for (unsigned R = 0; R != NumColdReasons; ++R)
+    M.counter(std::string("mip.cold_rebuild.") +
+              coldReasonName(static_cast<ColdReason>(R)))
+        .add(Sol.Stats.ColdRebuilds[R]);
   if (Sol.Stats.WarmStarted)
     M.counter("mip.warm_starts").add();
   if (Sol.Stats.SeededIncumbent)

@@ -8,28 +8,13 @@
 /// \file
 /// Branch & bound over the simplex relaxation for problems whose integer
 /// variables are all binary (exactly the shape of the paper's Section 4
-/// model after linearization), with best-bound pruning, pseudo-cost
-/// branching (most-fractional until costs are observed) and an
-/// LP-rounding incumbent heuristic.
+/// model after linearization), with bound pruning, pseudo-cost branching
+/// (most-fractional until costs are observed) and an LP-rounding
+/// incumbent heuristic.
 ///
-/// Node selection is pluggable (SolverConfig::Order). Warm starts made
-/// node cost uneven — a child next to its parent re-optimizes in a
-/// handful of dual pivots where a far jump pays a bigger repair — so the
-/// policy is a real lever:
-///
-///  - Dfs (default): classic depth-first diving, the warm-friendliest
-///    order — every node is one bound change from the previous one, so
-///    the dual repair is local and the retained tableau pays for itself.
-///  - BestBound: always expand the open node with the smallest parent
-///    bound; minimizes nodes explored and proves the gap earliest, at the
-///    price of larger basis repairs per node.
-///  - Hybrid: dive depth-first until the first incumbent exists, then
-///    switch to best-bound for the proof phase — the smallest trees of
-///    the three, the strongest choice for cold (--reuse without 'solve')
-///    runs where there is no retained basis to thrash.
-///
-/// All orders are exact and return an optimal solution; on problems with
-/// a unique optimum they return bit-identical assignments.
+/// Nodes are expanded depth-first: every node is one bound change from
+/// the previous one, so the dual repair of the retained tableau stays
+/// local and the warm start pays for itself.
 ///
 /// Solve once, branch cheap: each child node differs from its parent in
 /// exactly one variable bound, which — with the bounded-variable tableau
@@ -38,30 +23,31 @@
 /// by dual-simplex re-optimization of one evolving WarmStart tableau
 /// instead of a fresh solve (SolverConfig::WarmNodes; both paths are
 /// exact, so the answer is the same either way — MipSolution::Stats
-/// records how each node was satisfied). A MipWarmStart additionally
-/// carries that tableau and the previous optimum *across* solveMip calls,
-/// so a sweep that only patches bounds or constraint RHS values between
-/// solves — the knob axis of a placement campaign — re-optimizes from its
-/// neighbour instead of starting over, and an externally seeded incumbent
-/// (e.g. the persistent cache's best-known assignment) opens the search
-/// with most of the tree already pruned.
+/// records how each node was satisfied, and why each cold one went cold).
+/// A MipWarmStart additionally carries that tableau and the previous
+/// optimum *across* solveMip calls, so a sweep that only patches bounds
+/// or constraint RHS values between solves — the knob axis of a placement
+/// campaign — re-optimizes from its neighbour instead of starting over,
+/// and an externally seeded incumbent (e.g. the persistent cache's
+/// best-known assignment) opens the search with most of the tree already
+/// pruned.
 ///
 /// With SolverConfig::Threads > 1 the tree itself is searched in
 /// parallel: the root relaxation is solved once on the caller's warm
 /// tableau (preserving the cross-solve reuse semantics above), then the
 /// open list is sharded across workers with JobQueue-style deque
-/// stealing — each worker dives its own shard front-to-back in the
-/// configured order and steals from a sibling's tail when dry — and each
-/// worker re-optimizes its own deep copy of the solved root tableau.
-/// The shared incumbent makes pruning global. Determinism comes from
-/// *canonical result selection*, not from scheduling: a candidate
-/// incumbent's integer values are snapped exactly and it replaces the
-/// current best only when its objective is strictly smaller, or bit-equal
-/// with a lexicographically smaller assignment. That rule is independent
-/// of tree shape and arrival order, and the serial path applies the same
-/// rule, so any thread count returns the same assignment whenever the
-/// optimum is unique (multiple bit-equal-energy optima remain the one
-/// documented divergence, exactly as for node-order and warm/cold A/Bs).
+/// stealing — each worker dives its own shard and steals the oldest node
+/// of a sibling's shard when dry — and each worker re-optimizes its own
+/// deep copy of the solved root tableau. The shared incumbent makes
+/// pruning global. Determinism comes from *canonical result selection*,
+/// not from scheduling: a candidate incumbent's integer values are
+/// snapped exactly and it replaces the current best only when its
+/// objective is strictly smaller, or bit-equal with a lexicographically
+/// smaller assignment. That rule is independent of tree shape and arrival
+/// order, and the serial path applies the same rule, so any thread count
+/// returns the same assignment whenever the optimum is unique (multiple
+/// bit-equal-energy optima remain the one documented divergence, exactly
+/// as for the warm/cold A/B).
 ///
 //===----------------------------------------------------------------------===//
 

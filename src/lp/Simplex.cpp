@@ -19,7 +19,7 @@
 // values*, updated in closed form by every pivot, bound flip and patch.
 // There are no bound rows and no artificial columns: the tableau has
 // exactly one row per (non-degenerate) constraint, roughly half of the
-// all-bounds-as-rows formulation this repo used through PR 4.
+// all-bounds-as-rows formulation.
 //
 // A cold solve starts from the all-slack basis with structurals at their
 // finite bounds. That start is primal infeasible exactly where >=/== rows
@@ -233,10 +233,10 @@ struct WarmState {
     Sol.PricingDrift = static_cast<unsigned>(DseDrift - S.Drift);
   }
 
-  /// Rotating start column for Pricing::PartialDantzig's candidate-
-  /// section scan; advanced past each chosen entering column so sections
-  /// take turns supplying pivots.
-  unsigned PartialCursor = 0;
+  /// Set by dualIterate when it gives up because every violated row is
+  /// numerically stuck, cleared on every entry: the one thing that tells
+  /// a stuck-row IterLimit apart from a spent pivot budget.
+  bool StuckRow = false;
 
   bool needsRefactor(const SolverConfig &Opts) const {
     return Opts.RefactorInterval != 0 &&
@@ -365,7 +365,6 @@ bool WarmState::build(const LpProblem &P, const std::vector<double> &Lower,
   PivotsSinceBuild = 0;
   DseValid = false;
   DseEnabled = false;
-  PartialCursor = 0;
 
   // Structural columns: box from the overrides, nonbasic at a finite
   // bound (lower preferred), free when both bounds are infinite. Any
@@ -676,32 +675,23 @@ bool WarmState::anyEmptyBox() const {
 LpStatus WarmState::primalIterate(const SolverConfig &Opts,
                                   unsigned &Iterations,
                                   unsigned &BoundFlips) {
-  const Pricing Rule = Opts.effectivePricing();
   // Steepest-edge weights are a dual-side investment: maintaining them
   // through every primal pivot would cost O(rows^2) each, while the next
   // dual entry can recompute them all in one O(rows^2) pass. So primal
   // pivots invalidate (via eliminate()) and the dual recomputes lazily.
   DseEnabled = false;
-  // Partial pricing scans columns in rotating sections; the section size
-  // balances scan savings against pivot quality.
-  const unsigned Section = std::max(32u, NumCols / 8);
   unsigned StallCount = 0;
   while (Iterations < Opts.MaxIterations) {
-    bool Bland = Rule == Pricing::Bland || StallCount > NumRows + 16;
-    bool Partial = !Bland && Rule == Pricing::PartialDantzig;
+    bool Bland = Opts.PricingRule == Pricing::Bland ||
+                 StallCount > NumRows + 16;
 
     // Entering column: an at-lower (or free) variable with negative
     // reduced cost moves up, an at-upper (or free) one with positive
-    // reduced cost moves down. Dantzig picks the worst violation over
-    // all columns; Bland the first; Partial the worst within the first
-    // rotating section that offers any candidate.
+    // reduced cost moves down. Dantzig (and steepest-edge, whose weights
+    // live on the dual side) picks the worst violation; Bland the first.
     int Entering = -1;
     double Dir = 0.0, Best = Opts.Tolerance;
-    unsigned Start = Partial ? PartialCursor % NumCols : 0;
-    for (unsigned O = 0; O != NumCols; ++O) {
-      unsigned C = Start + O;
-      if (C >= NumCols)
-        C -= NumCols;
+    for (unsigned C = 0; C != NumCols; ++C) {
       if (Stat[C] != VStat::Basic && !fixed(C)) {
         double RC = Obj[C];
         double D = 0.0;
@@ -717,16 +707,10 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
           Best = std::abs(RC);
         }
       }
-      // Section boundary: partial pricing stops at the first section
-      // that produced a candidate.
-      if (Partial && Entering >= 0 && (O + 1) % Section == 0)
-        break;
     }
     if (Entering < 0)
       return LpStatus::Optimal;
     unsigned Q = static_cast<unsigned>(Entering);
-    if (Partial)
-      PartialCursor = (Q + 1) % NumCols;
 
     // Ratio test: how far can the entering variable travel before a
     // basic variable hits a bound — or before its own span runs out (a
@@ -807,8 +791,9 @@ LpStatus WarmState::primalIterate(const SolverConfig &Opts,
 LpStatus WarmState::dualIterate(const SolverConfig &Opts,
                                 unsigned &Iterations,
                                 unsigned &BoundFlips) {
-  const Pricing Rule = Opts.effectivePricing();
+  const Pricing Rule = Opts.PricingRule;
   DseEnabled = Rule == Pricing::SteepestEdge;
+  StuckRow = false;
   if (DseEnabled && !DseValid)
     computeDseWeights(); // first activation, or primal pivots intervened
   unsigned StallCount = 0;
@@ -873,11 +858,13 @@ LpStatus WarmState::dualIterate(const SolverConfig &Opts,
           BelowLb = ViolLo >= ViolHi;
         }
       }
-      if (Leaving < 0)
+      if (Leaving < 0) {
         // Every repairable row is inside its box. A still-violated
         // deferred row is numerically stuck: neither reparable nor
         // provably infeasible — give up and let the caller rebuild.
+        StuckRow = DeferredViolated;
         return DeferredViolated ? LpStatus::IterLimit : LpStatus::Optimal;
+      }
       LR = static_cast<unsigned>(Leaving);
       P = Basis[LR];
       Target = BelowLb ? Lo[P] : Hi[P];
@@ -1204,13 +1191,19 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
                                WarmStart &Warm, const SolverConfig &Opts) {
   assert(Lower.size() == P.numVariables() &&
          Upper.size() == P.numVariables() && "bounds size mismatch");
-  bool HadUsableMatch = Warm.valid() && Warm.S->matches(P);
+  // Why the solve goes cold if it does; refined as each warm step fails.
+  bool Matches = Warm.S && Warm.S->matches(P);
+  ColdReason Why =
+      Matches ? ColdReason::AfterInfeasible : ColdReason::NoState;
+  bool HadUsableMatch = Matches && Warm.S->Usable;
   // Fault site: pretend the retained tableau is unusable and rebuild
   // cold. Result-neutral by construction — both paths are exact — so
   // injecting here must only move effort counters, never answers; the
   // FaultTest suite pins exactly that.
-  if (HadUsableMatch && FaultInjector::shouldFail("solver.degrade"))
+  if (HadUsableMatch && FaultInjector::shouldFail("solver.degrade")) {
     HadUsableMatch = false;
+    Why = ColdReason::Injected;
+  }
   // A retained tableau past its refactorization cadence is re-derived
   // *in place from its current basis* — pristine rows re-eliminated
   // against the refined basis, Beta and steepest-edge weights
@@ -1224,10 +1217,12 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
   if (HadUsableMatch)
     Snap = Warm.S->pricingSnap();
   if (Resolvable && Warm.S->needsRefactor(Opts)) {
-    if (Warm.S->refactorFromBasis(P, Opts))
+    if (Warm.S->refactorFromBasis(P, Opts)) {
       Refactorized = true;
-    else
+    } else {
       Resolvable = false;
+      Why = ColdReason::Singular;
+    }
   }
   if (Resolvable) {
     LpSolution Sol = resolveLpFromBasis(P, Lower, Upper, Warm, Opts);
@@ -1239,16 +1234,20 @@ LpSolution ramloc::solveLpWarm(const LpProblem &P,
       Warm.S->pricingDelta(Snap, Sol);
       return Sol;
     }
-    // fall through: rebuild from scratch
+    // Fall through and rebuild from scratch. Only a failed patch returns
+    // before the repair starts; a repair that started either met a stuck
+    // row or spent its budget.
+    Why = !Sol.WarmStarted     ? ColdReason::Patch
+          : Warm.S->StuckRow ? ColdReason::StuckRow
+                             : ColdReason::Budget;
   }
   Warm.S = std::make_unique<WarmState>();
-  if (!Warm.S->build(P, Lower, Upper, Opts)) {
-    LpSolution Sol;
+  LpSolution Sol;
+  if (Warm.S->build(P, Lower, Upper, Opts))
+    Sol = Warm.S->solveFresh(P, Opts);
+  else
     Sol.Status = LpStatus::Infeasible;
-    Sol.Refactorized = HadUsableMatch;
-    return Sol;
-  }
-  LpSolution Sol = Warm.S->solveFresh(P, Opts);
   Sol.Refactorized = HadUsableMatch;
+  Sol.RebuildReason = Why;
   return Sol;
 }

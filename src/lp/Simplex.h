@@ -9,15 +9,15 @@
 /// Dense bounded-variable tableau simplex. Integrality markers are ignored
 /// here; lp/BranchBound.h layers 0/1 search on top. Problem sizes in this
 /// project are small (tens to a few hundred variables), so a dense tableau
-/// is plenty; pivot selection is pluggable (SolverConfig::Pricing — dual
-/// steepest-edge by default, Dantzig / partial Dantzig / Bland behind the
-/// enum, all with the Bland anti-cycling fallback when stalled).
+/// is plenty; pivot selection is dual steepest-edge by default, with
+/// Dantzig as the A/B baseline (SolverConfig::PricingRule), and either
+/// falls back to Bland's anti-cycling rule when stalled.
 ///
 /// Variables carry their [lb, ub] box implicitly: a nonbasic variable sits
 /// *at* its lower or upper bound (or at zero when free) and the tableau
 /// holds only one row per constraint — no explicit bound rows. That halves
-/// the tableau against the classic all-bounds-as-rows formulation this
-/// repo used through PR 4, and it makes every bound change a O(1) status/
+/// the tableau against the classic all-bounds-as-rows formulation, and
+/// it makes every bound change a O(1) status/
 /// box update plus an O(rows) basic-value refresh instead of a row edit.
 /// The primal ratio test gains the bound-flip case: when the entering
 /// variable's own span is the binding limit it jumps to its opposite
@@ -85,6 +85,8 @@ struct LpSolution {
   /// True when this solution was reached by re-optimizing a retained
   /// basis rather than solving from scratch.
   bool WarmStarted = false;
+  /// Why the solve ran cold; meaningful only when !WarmStarted.
+  ColdReason RebuildReason = ColdReason::NoState;
   /// True when a previously valid, structurally matching warm tableau was
   /// re-derived from original problem data for this solve — the periodic
   /// SolverConfig::RefactorInterval cadence (which re-eliminates against

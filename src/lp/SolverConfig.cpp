@@ -4,38 +4,12 @@
 
 namespace ramloc {
 
-const char *nodeOrderName(NodeOrder O) {
-  switch (O) {
-  case NodeOrder::Dfs:
-    return "dfs";
-  case NodeOrder::BestBound:
-    return "best-bound";
-  case NodeOrder::Hybrid:
-    return "hybrid";
-  }
-  return "dfs";
-}
-
-bool nodeOrderFromName(const std::string &Name, NodeOrder &Out) {
-  if (Name == "dfs")
-    Out = NodeOrder::Dfs;
-  else if (Name == "best-bound")
-    Out = NodeOrder::BestBound;
-  else if (Name == "hybrid")
-    Out = NodeOrder::Hybrid;
-  else
-    return false;
-  return true;
-}
-
 const char *pricingName(Pricing P) {
   switch (P) {
   case Pricing::SteepestEdge:
     return "steepest-edge";
   case Pricing::Dantzig:
     return "dantzig";
-  case Pricing::PartialDantzig:
-    return "partial";
   case Pricing::Bland:
     return "bland";
   }
@@ -47,10 +21,6 @@ bool pricingFromName(const std::string &Name, Pricing &Out) {
     Out = Pricing::SteepestEdge;
   else if (Name == "dantzig")
     Out = Pricing::Dantzig;
-  else if (Name == "partial")
-    Out = Pricing::PartialDantzig;
-  else if (Name == "bland")
-    Out = Pricing::Bland;
   else
     return false;
   return true;
@@ -84,6 +54,26 @@ bool solveStatusFromName(const std::string &Name, SolveStatus &Out) {
   return true;
 }
 
+const char *coldReasonName(ColdReason R) {
+  switch (R) {
+  case ColdReason::NoState:
+    return "no_state";
+  case ColdReason::AfterInfeasible:
+    return "after_infeasible";
+  case ColdReason::Patch:
+    return "patch";
+  case ColdReason::Singular:
+    return "singular";
+  case ColdReason::StuckRow:
+    return "stuck_row";
+  case ColdReason::Budget:
+    return "budget";
+  case ColdReason::Injected:
+    return "injected";
+  }
+  return "no_state";
+}
+
 SolverStats &SolverStats::merge(const SolverStats &Other) {
   ColdNodeSolves += Other.ColdNodeSolves;
   WarmNodeSolves += Other.WarmNodeSolves;
@@ -94,8 +84,8 @@ SolverStats &SolverStats::merge(const SolverStats &Other) {
   PricingUpdates += Other.PricingUpdates;
   PricingRecomputes += Other.PricingRecomputes;
   PricingDrift += Other.PricingDrift;
-  StrongBranchProbes += Other.StrongBranchProbes;
-  StrongBranchSeeds += Other.StrongBranchSeeds;
+  for (unsigned R = 0; R != NumColdReasons; ++R)
+    ColdRebuilds[R] += Other.ColdRebuilds[R];
   WarmStarted = WarmStarted || Other.WarmStarted;
   SeededIncumbent = SeededIncumbent || Other.SeededIncumbent;
   return *this;

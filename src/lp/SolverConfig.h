@@ -7,41 +7,23 @@
 ///
 /// \file
 /// One configuration struct for the whole exact-solver stack and one
-/// counter struct for its effort accounting.
-///
-/// Through PR 6 the stack threaded three structs individually —
-/// SimplexOptions into every simplex entry point, MipOptions (embedding a
-/// SimplexOptions) into solveMip, and ad-hoc counter fields on
-/// MipSolution — so adding a knob meant touching every call site from
-/// PlacementSolver down to resolveLpFromBasis. SolverConfig flattens the
-/// knobs into a single value that rides unchanged through
-/// PlacementSolver -> solveMip -> solveLpWarm -> resolveLpFromBasis;
-/// thread count, pricing rule and refactorization cadence plug in here
-/// and nowhere else. SolverStats is the matching effort ledger: one
-/// instance per solve (or per worker in the parallel tree search, merged
-/// at the end), mirrored into the mip.* metrics so per-thread counts
-/// aggregate through the registry instead of ad-hoc summing.
+/// counter struct for its effort accounting. SolverConfig rides unchanged
+/// through PlacementSolver -> solveMip -> solveLpWarm -> resolveLpFromBasis;
+/// every layer reads the fields it owns. SolverStats is the matching
+/// effort ledger: one instance per solve (or per worker in the parallel
+/// tree search, merged at the end), mirrored into the mip.* metrics so
+/// per-thread counts aggregate through the registry.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAMLOC_LP_SOLVERCONFIG_H
 #define RAMLOC_LP_SOLVERCONFIG_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 
 namespace ramloc {
-
-/// Which open node the branch & bound search expands next. Every order is
-/// exact; see lp/BranchBound.h for the trade-offs.
-enum class NodeOrder : uint8_t {
-  Dfs,       ///< depth-first diving (warm-friendliest)
-  BestBound, ///< smallest parent bound first (smallest tree)
-  Hybrid,    ///< dive until an incumbent exists, then best-bound
-};
-
-const char *nodeOrderName(NodeOrder O);
-bool nodeOrderFromName(const std::string &Name, NodeOrder &Out);
 
 /// How the simplex prices its pivots. Every rule is exact — the optimum
 /// (and therefore every campaign report) is byte-identical across rules;
@@ -57,21 +39,18 @@ enum class Pricing : uint8_t {
   /// every refactorization. The default: warm branch & bound re-solves
   /// are dual-simplex dominated, and this is where their pivots go.
   SteepestEdge,
-  /// Textbook most-violated selection, both simplexes. The pre-PR-10
-  /// behaviour, kept as the A/B baseline the perf gates compare against.
+  /// Textbook most-violated selection, both simplexes: the A/B baseline
+  /// the steepest-edge pivot gate compares against.
   Dantzig,
-  /// Dantzig with a rotating candidate-section scan on the primal side:
-  /// the entering column is the best of the first section that offers
-  /// one, not of all columns. Cheaper per iteration on cold phase-1
-  /// passes over wide tableaux; the dual side prices as Dantzig.
-  PartialDantzig,
   /// Bland's least-index rule everywhere. Immune to cycling by
-  /// construction; exists so the degenerate-pivot regressions can pin
-  /// the fallback every other rule switches to when stalled.
+  /// construction: the fallback every rule switches to when stalled.
+  /// Settable through PricingRule so the degenerate-pivot regressions can
+  /// pin it, but not parseable by name.
   Bland,
 };
 
 const char *pricingName(Pricing P);
+/// Parses the two user-facing rules, "steepest-edge" and "dantzig".
 bool pricingFromName(const std::string &Name, Pricing &Out);
 
 /// What a finished solve actually proved. LpStatus says what the final
@@ -92,6 +71,25 @@ enum class SolveStatus : uint8_t {
 const char *solveStatusName(SolveStatus S);
 bool solveStatusFromName(const std::string &Name, SolveStatus &Out);
 
+/// Why a node relaxation was solved cold instead of re-optimized from the
+/// retained tableau. Every cold node solve has exactly one reason, and
+/// solveMip publishes each as a mip.cold_rebuild.<name> counter.
+enum class ColdReason : uint8_t {
+  NoState,         ///< no tableau to reuse: first solve, structure change,
+                   ///< or warm nodes disabled
+  AfterInfeasible, ///< the previous cold solve ended without an optimum
+                   ///< (almost always Infeasible), leaving no usable basis
+  Patch,           ///< a bound change forced a nonbasic side switch
+  Singular,        ///< refactorization found the retained basis singular
+  StuckRow,        ///< the warm dual repair met a numerically stuck row
+  Budget,          ///< the warm repair spent its pivot budget (or its
+                   ///< primal polish drifted unbounded)
+  Injected,        ///< the solver.degrade fault dropped the tableau
+};
+constexpr unsigned NumColdReasons = 7;
+
+const char *coldReasonName(ColdReason R);
+
 /// Every knob the exact-solver stack reads, LP engine and MIP search
 /// alike. One instance flows through the whole call chain; layers read
 /// the fields they own and pass the value on untouched.
@@ -105,10 +103,6 @@ struct SolverConfig {
   /// Pivot selection rule (see Pricing). Exact and report-neutral either
   /// way; SteepestEdge spends the fewest dual pivots on warm chains.
   Pricing PricingRule = Pricing::SteepestEdge;
-  /// Deprecated alias for PricingRule = Pricing::Bland, kept so pre-PR-10
-  /// callers compile and behave identically; the solver reads only
-  /// effectivePricing(). Prefer setting PricingRule directly.
-  bool ForceBland = false;
   /// Refactorization cadence: after RefactorInterval * (rows + vars + 1)
   /// pivots, a retained warm tableau is re-derived *from its current
   /// basis* — the rows are rebuilt from original problem data and
@@ -121,13 +115,6 @@ struct SolverConfig {
   /// Only a numerically singular basis degrades to the old
   /// rebuild-from-scratch path. 0 disables the cadence entirely.
   unsigned RefactorInterval = 64;
-
-  /// The pricing rule the solver actually applies: the deprecated
-  /// ForceBland flag wins (mapping onto Pricing::Bland) so old callers
-  /// keep their exact semantics without scattered special cases.
-  Pricing effectivePricing() const {
-    return ForceBland ? Pricing::Bland : PricingRule;
-  }
 
   //===--- MIP search (branch & bound) ------------------------------------===//
 
@@ -142,23 +129,6 @@ struct SolverConfig {
   /// simplex) instead of re-solving from scratch. Exact either way;
   /// disable for the fully cold reference path (--reuse without 'solve').
   bool WarmNodes = true;
-  /// Node-selection policy (see NodeOrder). Every order is exact.
-  NodeOrder Order = NodeOrder::Dfs;
-  /// Branch on the variable with the best pseudo-cost score (estimated
-  /// objective degradation both ways), falling back to most-fractional
-  /// until a variable has observed degradations. Disable for plain
-  /// most-fractional branching.
-  bool PseudoCostBranching = true;
-  /// Strong branching at the root: probe the top-K branching candidates
-  /// (pseudo-cost ranked; most-fractional until costs exist) by actually
-  /// solving both children with bounded dual re-solves on clones of the
-  /// solved root tableau, fanned over the Threads worker pool, and seed
-  /// the pseudo-cost history with the observed degradations before the
-  /// first real branch is chosen. Exact and report-neutral — probes only
-  /// inform the branching order, never the answer. 0 disables (default);
-  /// probing needs a warm root tableau, so fully cold runs
-  /// (WarmNodes = false) skip it.
-  unsigned StrongBranchK = 0;
 
   //===--- Cooperative limits (graceful degradation) ----------------------===//
   //
@@ -188,8 +158,7 @@ struct SolverConfig {
   /// objective, else bit-equal objective and lexicographically smaller
   /// assignment), so the result never depends on worker arrival order
   /// and reports stay byte-identical across thread counts whenever the
-  /// optimum is unique — the same caveat every other exact-path A/B
-  /// switch in this repo carries.
+  /// optimum is unique — the same caveat the warm/cold A/B carries.
   unsigned Threads = 1;
 };
 
@@ -226,10 +195,8 @@ struct SolverStats {
   /// the spot (the recompute wins); a nonzero count is a numerics canary,
   /// not an error.
   uint64_t PricingDrift = 0;
-  /// Root strong-branching child probes performed (two per candidate).
-  uint64_t StrongBranchProbes = 0;
-  /// Pseudo-cost observations seeded from conclusive root probes.
-  uint64_t StrongBranchSeeds = 0;
+  /// ColdNodeSolves split by ColdReason; the entries sum to it.
+  std::array<unsigned, NumColdReasons> ColdRebuilds{};
   /// True when the solve itself started from a caller-provided
   /// MipWarmStart basis (knob-axis reuse) rather than a cold root.
   bool WarmStarted = false;

@@ -700,37 +700,11 @@ TEST(Campaign, IncumbentSeedingKeepsReportsByteIdentical) {
   EXPECT_EQ(campaignToJson(Baseline), campaignToJson(Unseeded));
 }
 
-TEST(Campaign, NodeOrdersProduceByteIdenticalReports) {
-  // Every node-selection policy is exact; on the BEEBS models the
-  // optimum is unique, so the whole report must not depend on the order
-  // the search tree was walked in.
-  GridSpec Grid;
-  Grid.Benchmarks = {"crc32", "int_matmult"};
-  Grid.Levels = {OptLevel::O1};
-  Grid.Repeat = 2;
-  Grid.RsparePoints = {128, 512};
-  Grid.XlimitPoints = {1.05, 1.5};
-  Grid.Kind = JobKind::ModelOnly;
-
-  std::string Reports[3];
-  NodeOrder Orders[3] = {NodeOrder::Dfs, NodeOrder::BestBound,
-                         NodeOrder::Hybrid};
-  for (int I = 0; I != 3; ++I) {
-    CampaignOptions Opts;
-    Opts.Base.Solver.Order = Orders[I];
-    CampaignResult CR = runCampaign(Grid, Opts);
-    ASSERT_EQ(CR.Summary.Failed, 0u) << nodeOrderName(Orders[I]);
-    Reports[I] = campaignToJson(CR);
-  }
-  EXPECT_EQ(Reports[0], Reports[1]);
-  EXPECT_EQ(Reports[0], Reports[2]);
-}
-
 TEST(Campaign, SolverThreadCountsProduceByteIdenticalReports) {
   // The parallel tree search selects its incumbent canonically, so the
-  // campaign report must be byte-identical across every thread count x
-  // node order combination — the same guarantee the CI batch-behavior
-  // job proves end-to-end through ramloc-batch --solver-threads.
+  // campaign report must be byte-identical across every thread count —
+  // the same guarantee the CI batch-behavior job proves end-to-end
+  // through ramloc-batch --solver-threads.
   GridSpec Grid;
   Grid.Benchmarks = {"crc32", "int_matmult"};
   Grid.Levels = {OptLevel::O1};
@@ -740,59 +714,48 @@ TEST(Campaign, SolverThreadCountsProduceByteIdenticalReports) {
   Grid.Kind = JobKind::ModelOnly;
 
   std::string Reference;
-  for (unsigned Threads : {1u, 2u, 8u})
-    for (NodeOrder Order :
-         {NodeOrder::Dfs, NodeOrder::BestBound, NodeOrder::Hybrid}) {
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    CampaignOptions Opts;
+    Opts.Base.Solver.Threads = Threads;
+    CampaignResult CR = runCampaign(Grid, Opts);
+    ASSERT_EQ(CR.Summary.Failed, 0u) << Threads << " threads";
+    std::string Report = campaignToJson(CR);
+    if (Reference.empty())
+      Reference = Report;
+    else
+      EXPECT_EQ(Report, Reference) << Threads << " threads";
+  }
+}
+
+TEST(Campaign, PricingRulesProduceByteIdenticalReports) {
+  // Pricing only picks which pivot the simplex takes next; both rules
+  // are exact, so every pricing rule x thread-count combination must
+  // emit the same campaign report bytes — the same guarantee the CI
+  // batch smoke proves end-to-end through ramloc-batch --pricing.
+  GridSpec Grid;
+  Grid.Benchmarks = {"crc32", "int_matmult"};
+  Grid.Levels = {OptLevel::O1};
+  Grid.Repeat = 2;
+  Grid.RsparePoints = {128, 512};
+  Grid.XlimitPoints = {1.05, 1.5};
+  Grid.Kind = JobKind::ModelOnly;
+
+  std::string Reference;
+  for (Pricing Rule : {Pricing::SteepestEdge, Pricing::Dantzig})
+    for (unsigned Threads : {1u, 4u}) {
       CampaignOptions Opts;
+      Opts.Base.Solver.PricingRule = Rule;
       Opts.Base.Solver.Threads = Threads;
-      Opts.Base.Solver.Order = Order;
       CampaignResult CR = runCampaign(Grid, Opts);
       ASSERT_EQ(CR.Summary.Failed, 0u)
-          << Threads << " threads, " << nodeOrderName(Order);
+          << pricingName(Rule) << ", " << Threads << " threads";
       std::string Report = campaignToJson(CR);
       if (Reference.empty())
         Reference = Report;
       else
         EXPECT_EQ(Report, Reference)
-            << Threads << " threads, " << nodeOrderName(Order);
+            << pricingName(Rule) << ", " << Threads << " threads";
     }
-}
-
-TEST(Campaign, PricingRulesProduceByteIdenticalReports) {
-  // Pricing only picks which pivot the simplex takes next and strong
-  // branching only reorders the tree walk; both are exact, so every
-  // pricing rule x strong-branch x thread-count combination must emit
-  // the same campaign report bytes — the same guarantee the CI batch
-  // smoke proves end-to-end through ramloc-batch --pricing.
-  GridSpec Grid;
-  Grid.Benchmarks = {"crc32", "int_matmult"};
-  Grid.Levels = {OptLevel::O1};
-  Grid.Repeat = 2;
-  Grid.RsparePoints = {128, 512};
-  Grid.XlimitPoints = {1.05, 1.5};
-  Grid.Kind = JobKind::ModelOnly;
-
-  std::string Reference;
-  for (Pricing Rule : {Pricing::SteepestEdge, Pricing::Dantzig,
-                       Pricing::PartialDantzig, Pricing::Bland})
-    for (unsigned StrongK : {0u, 8u})
-      for (unsigned Threads : {1u, 4u}) {
-        CampaignOptions Opts;
-        Opts.Base.Solver.PricingRule = Rule;
-        Opts.Base.Solver.StrongBranchK = StrongK;
-        Opts.Base.Solver.Threads = Threads;
-        CampaignResult CR = runCampaign(Grid, Opts);
-        ASSERT_EQ(CR.Summary.Failed, 0u)
-            << pricingName(Rule) << ", strong-branch " << StrongK << ", "
-            << Threads << " threads";
-        std::string Report = campaignToJson(CR);
-        if (Reference.empty())
-          Reference = Report;
-        else
-          EXPECT_EQ(Report, Reference)
-              << pricingName(Rule) << ", strong-branch " << StrongK
-              << ", " << Threads << " threads";
-      }
 }
 
 TEST(Campaign, ReportWithSolverDiagnosticsParsesAndDiffsClean) {

@@ -7,6 +7,8 @@
 
 #include "lp/BranchBound.h"
 #include "lp/Simplex.h"
+#include "support/FaultInjector.h"
+#include "support/Metrics.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -100,8 +102,9 @@ TEST(Simplex, DegenerateProblemTerminates) {
 
 /// Beale's classic cycling example: under naive Dantzig pricing with the
 /// wrong tie-breaks, the simplex revisits the same degenerate bases
-/// forever. The regression pins termination and optimality under every
-/// pricing rule (each non-Bland rule falls back to Bland on a stall).
+/// forever. The regression pins termination and optimality under both
+/// user-facing pricing rules (each falls back to Bland on a stall) and
+/// under Bland itself.
 /// Optimum: x = (1/25, 0, 1, 0), objective -1/20.
 TEST(Simplex, BealeCyclingTerminatesUnderEveryPricingRule) {
   auto Build = [] {
@@ -119,8 +122,8 @@ TEST(Simplex, BealeCyclingTerminatesUnderEveryPricingRule) {
     return P;
   };
 
-  for (Pricing Rule : {Pricing::SteepestEdge, Pricing::Dantzig,
-                       Pricing::PartialDantzig, Pricing::Bland}) {
+  for (Pricing Rule :
+       {Pricing::SteepestEdge, Pricing::Dantzig, Pricing::Bland}) {
     SolverConfig Opts;
     Opts.PricingRule = Rule;
     LpProblem P = Build();
@@ -143,39 +146,32 @@ TEST(Simplex, BealeCyclingTerminatesUnderEveryPricingRule) {
   }
 }
 
-TEST(Simplex, DegenerateProblemTerminatesUnderForcedBland) {
+TEST(Simplex, DegenerateProblemTerminatesUnderBland) {
   LpProblem P;
   unsigned X = P.addVariable(0, 10, -1);
   P.addConstraint({{X, 1.0}}, ConstraintSense::LessEq, 5);
   P.addConstraint({{X, 2.0}}, ConstraintSense::LessEq, 10);
   P.addConstraint({{X, 3.0}}, ConstraintSense::LessEq, 15);
   SolverConfig Opts;
-  Opts.ForceBland = true;
+  Opts.PricingRule = Pricing::Bland;
   LpSolution S = solveLp(P, Opts);
   ASSERT_EQ(S.Status, LpStatus::Optimal);
   EXPECT_NEAR(S.Values[X], 5.0, 1e-7);
 }
 
-/// The deprecated ForceBland flag is a pure alias: it maps onto
-/// Pricing::Bland through effectivePricing() and overrides whatever
-/// PricingRule says, so pre-enum callers keep their exact behaviour.
-TEST(SolverConfig, ForceBlandAliasMapsOntoPricingEnum) {
-  SolverConfig Opts;
-  EXPECT_EQ(Opts.effectivePricing(), Pricing::SteepestEdge);
-  Opts.ForceBland = true;
-  EXPECT_EQ(Opts.effectivePricing(), Pricing::Bland);
-  Opts.PricingRule = Pricing::Dantzig; // the alias still wins
-  EXPECT_EQ(Opts.effectivePricing(), Pricing::Bland);
-
-  // Round-trip every enum value through its CLI spelling.
-  for (Pricing Rule : {Pricing::SteepestEdge, Pricing::Dantzig,
-                       Pricing::PartialDantzig, Pricing::Bland}) {
-    Pricing Parsed = Pricing::SteepestEdge;
+/// Only the two user-facing rules parse: Bland stays internal (the stall
+/// fallback), and every other name is rejected.
+TEST(SolverConfig, PricingNamesRoundTripTheTwoUserFacingRules) {
+  for (Pricing Rule : {Pricing::SteepestEdge, Pricing::Dantzig}) {
+    Pricing Parsed = Pricing::Bland;
     ASSERT_TRUE(pricingFromName(pricingName(Rule), Parsed));
     EXPECT_EQ(Parsed, Rule);
   }
   Pricing Unused = Pricing::SteepestEdge;
+  EXPECT_FALSE(pricingFromName("partial", Unused));
+  EXPECT_FALSE(pricingFromName("bland", Unused));
   EXPECT_FALSE(pricingFromName("newton", Unused));
+  EXPECT_EQ(Unused, Pricing::SteepestEdge);
 }
 
 TEST(Simplex, SolvedBasisIsExposed) {
@@ -541,29 +537,25 @@ TEST_P(MipRandomized, MatchesBruteForce) {
   }
 
   double Reference = bruteForceOptimum(P);
-  // Every node-solve strategy x node order x branching rule is exact and
-  // must agree with brute force.
+  // Every node-solve strategy x thread count is exact and must agree
+  // with brute force.
   for (bool WarmNodes : {false, true})
-    for (NodeOrder Order :
-         {NodeOrder::Dfs, NodeOrder::BestBound, NodeOrder::Hybrid})
-      for (bool PseudoCost : {false, true}) {
-        SolverConfig Opts;
-        Opts.WarmNodes = WarmNodes;
-        Opts.Order = Order;
-        Opts.PseudoCostBranching = PseudoCost;
-        MipSolution S = solveMip(P, Opts);
-        ASSERT_TRUE(S.feasible()); // all-zeros is always feasible here
-        EXPECT_TRUE(S.Proven);
-        EXPECT_NEAR(S.Objective, Reference, 1e-6)
-            << (WarmNodes ? "warm" : "cold") << " nodes, "
-            << nodeOrderName(Order) << " order, "
-            << (PseudoCost ? "pseudo-cost" : "most-fractional");
-        EXPECT_TRUE(P.isFeasible(S.Values));
-        if (WarmNodes)
-          EXPECT_EQ(S.coldNodeSolves() + S.warmNodeSolves(), S.NodesExplored);
-        else
-          EXPECT_EQ(S.coldNodeSolves(), S.NodesExplored);
-      }
+    for (unsigned Threads : {1u, 4u}) {
+      SolverConfig Opts;
+      Opts.WarmNodes = WarmNodes;
+      Opts.Threads = Threads;
+      MipSolution S = solveMip(P, Opts);
+      ASSERT_TRUE(S.feasible()); // all-zeros is always feasible here
+      EXPECT_TRUE(S.Proven);
+      EXPECT_NEAR(S.Objective, Reference, 1e-6)
+          << (WarmNodes ? "warm" : "cold") << " nodes, " << Threads
+          << " threads";
+      EXPECT_TRUE(P.isFeasible(S.Values));
+      if (WarmNodes)
+        EXPECT_EQ(S.coldNodeSolves() + S.warmNodeSolves(), S.NodesExplored);
+      else
+        EXPECT_EQ(S.coldNodeSolves(), S.NodesExplored);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MipRandomized, ::testing::Range(0, 25));
@@ -630,10 +622,31 @@ TEST(Mip, ExternallySeededIncumbentOpensTheSearch) {
   EXPECT_NEAR(R.Objective, Plain.Objective, 1e-9);
 }
 
-TEST(Mip, BestBoundProvesWithoutExhaustingOpenList) {
-  // A chunkier knapsack: best-bound must reach the same optimum as Dfs
-  // and terminate by bound (the open list prunes wholesale once the top
-  // node cannot beat the incumbent).
+namespace {
+
+/// Sum of a solve's per-reason cold-rebuild counts.
+unsigned coldRebuildSum(const SolverStats &St) {
+  unsigned Sum = 0;
+  for (unsigned N : St.ColdRebuilds)
+    Sum += N;
+  return Sum;
+}
+
+uint64_t publishedColdRebuilds() {
+  uint64_t Sum = 0;
+  for (unsigned R = 0; R != NumColdReasons; ++R)
+    Sum += globalMetrics().counterValue(
+        std::string("mip.cold_rebuild.") +
+        coldReasonName(static_cast<ColdReason>(R)));
+  return Sum;
+}
+
+} // namespace
+
+TEST(Mip, EveryColdNodeSolveHasExactlyOneReason) {
+  // A knapsack that branches for a while, so cold rebuilds happen for
+  // more than one reason (the root has no state; infeasible children
+  // leave none behind).
   LpProblem P;
   for (int J = 0; J != 12; ++J)
     P.addBinary(-(3.0 + (J * 7) % 11));
@@ -641,17 +654,46 @@ TEST(Mip, BestBoundProvesWithoutExhaustingOpenList) {
   for (unsigned J = 0; J != 12; ++J)
     Terms.push_back({J, double(2 + (J * 5) % 7)});
   P.addConstraint(std::move(Terms), ConstraintSense::LessEq, 23);
+  auto reason = [](const MipSolution &S, ColdReason R) {
+    return S.Stats.ColdRebuilds[static_cast<unsigned>(R)];
+  };
 
-  SolverConfig Dfs;
-  Dfs.Order = NodeOrder::Dfs;
-  SolverConfig BB;
-  BB.Order = NodeOrder::BestBound;
-  MipSolution SDfs = solveMip(P, Dfs);
-  MipSolution SBB = solveMip(P, BB);
-  ASSERT_TRUE(SDfs.feasible());
-  ASSERT_TRUE(SBB.feasible());
-  EXPECT_TRUE(SBB.Proven);
-  EXPECT_NEAR(SDfs.Objective, SBB.Objective, 1e-9);
+  for (unsigned Threads : {1u, 4u}) {
+    SolverConfig Cfg;
+    Cfg.Threads = Threads;
+    uint64_t ColdBefore = globalMetrics().counterValue("mip.cold_node_solves");
+    uint64_t ReasonsBefore = publishedColdRebuilds();
+    MipSolution S = solveMip(P, Cfg);
+    ASSERT_TRUE(S.Proven);
+    EXPECT_GT(S.NodesExplored, 1u);
+    EXPECT_EQ(coldRebuildSum(S.Stats), S.Stats.ColdNodeSolves);
+    EXPECT_GE(reason(S, ColdReason::NoState), 1u); // the root
+    EXPECT_EQ(reason(S, ColdReason::Injected), 0u);
+    // solveMip publishes the same split into the registry.
+    EXPECT_EQ(publishedColdRebuilds() - ReasonsBefore,
+              globalMetrics().counterValue("mip.cold_node_solves") -
+                  ColdBefore);
+
+    // Cold nodes have no retained state to lose: one reason for all.
+    Cfg.WarmNodes = false;
+    MipSolution C = solveMip(P, Cfg);
+    EXPECT_EQ(reason(C, ColdReason::NoState), C.NodesExplored);
+    EXPECT_EQ(coldRebuildSum(C.Stats), C.Stats.ColdNodeSolves);
+
+    // The solver.degrade fault drops every usable tableau: those
+    // rebuilds are counted as injected, and the answer does not move.
+    Cfg.WarmNodes = true;
+    FaultInjector F;
+    F.arm("solver.degrade", 1.0);
+    F.install();
+    MipSolution D = solveMip(P, Cfg);
+    FaultInjector::uninstall();
+    EXPECT_NEAR(D.Objective, S.Objective, 1e-9);
+    EXPECT_EQ(D.Stats.WarmNodeSolves, 0u);
+    EXPECT_GT(reason(D, ColdReason::Injected), 0u);
+    EXPECT_EQ(reason(D, ColdReason::Injected), F.firedCount("solver.degrade"));
+    EXPECT_EQ(coldRebuildSum(D.Stats), D.Stats.ColdNodeSolves);
+  }
 }
 
 namespace {
@@ -673,8 +715,8 @@ unsigned bruteForceOptimumCount(const LpProblem &P, double Best) {
 
 } // namespace
 
-/// Property sweep for the parallel tree search: every thread count x node
-/// order is exact (matches the brute-force enumerator and the serial
+/// Property sweep for the parallel tree search: every thread count is
+/// exact (matches the brute-force enumerator and the serial
 /// solver's objective), and whenever the optimum is unique the canonical
 /// selection rule makes the assignment bit-identical to the serial one.
 /// Multiple bit-equal-cost optima are the one documented divergence.
@@ -705,35 +747,29 @@ TEST_P(MipParallelRandomized, MatchesSerialAndBruteForce) {
   ASSERT_TRUE(Serial.feasible()); // all-zeros is always feasible here
   EXPECT_NEAR(Serial.Objective, Reference, 1e-6);
 
-  for (unsigned Threads : {2u, 4u})
-    for (NodeOrder Order :
-         {NodeOrder::Dfs, NodeOrder::BestBound, NodeOrder::Hybrid}) {
-      SolverConfig Cfg;
-      Cfg.Threads = Threads;
-      Cfg.Order = Order;
-      MipSolution S = solveMip(P, Cfg);
-      ASSERT_TRUE(S.feasible());
-      EXPECT_TRUE(S.Proven);
-      EXPECT_NEAR(S.Objective, Reference, 1e-6)
-          << Threads << " threads, " << nodeOrderName(Order) << " order";
-      EXPECT_TRUE(P.isFeasible(S.Values));
-      if (Unique)
-        EXPECT_EQ(S.Values, Serial.Values)
-            << Threads << " threads, " << nodeOrderName(Order) << " order";
-      EXPECT_EQ(S.coldNodeSolves() + S.warmNodeSolves(), S.NodesExplored)
-          << Threads << " threads, " << nodeOrderName(Order) << " order";
-    }
+  for (unsigned Threads : {2u, 4u}) {
+    SolverConfig Cfg;
+    Cfg.Threads = Threads;
+    MipSolution S = solveMip(P, Cfg);
+    ASSERT_TRUE(S.feasible());
+    EXPECT_TRUE(S.Proven);
+    EXPECT_NEAR(S.Objective, Reference, 1e-6) << Threads << " threads";
+    EXPECT_TRUE(P.isFeasible(S.Values));
+    if (Unique)
+      EXPECT_EQ(S.Values, Serial.Values) << Threads << " threads";
+    EXPECT_EQ(S.coldNodeSolves() + S.warmNodeSolves(), S.NodesExplored)
+        << Threads << " threads";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MipParallelRandomized,
                          ::testing::Range(0, 15));
 
-/// Property sweep for the pricing tentpole: every pricing rule x strong
-/// branching on/off x thread count is exact (same objective as the
-/// brute-force enumerator), and when the optimum is unique the canonical
-/// selection keeps the assignment identical to the baseline config. The
-/// rules take different pivot paths through the same polytopes; none may
-/// change an answer.
+/// Property sweep for pricing: both rules x thread count are exact (same
+/// objective as the brute-force enumerator), and when the optimum is
+/// unique the canonical selection keeps the assignment identical to the
+/// baseline config. The rules take different pivot paths through the
+/// same polytopes; neither may change an answer.
 class MipPricingRandomized : public ::testing::TestWithParam<int> {};
 
 TEST_P(MipPricingRandomized, AllRulesAgreeWithBruteForce) {
@@ -760,30 +796,21 @@ TEST_P(MipPricingRandomized, AllRulesAgreeWithBruteForce) {
   ASSERT_TRUE(Baseline.feasible()); // all-zeros is always feasible here
   EXPECT_NEAR(Baseline.Objective, Reference, 1e-6);
 
-  for (Pricing Rule : {Pricing::SteepestEdge, Pricing::Dantzig,
-                       Pricing::PartialDantzig, Pricing::Bland})
-    for (unsigned StrongK : {0u, 4u})
-      for (unsigned Threads : {1u, 4u}) {
-        SolverConfig Cfg;
-        Cfg.PricingRule = Rule;
-        Cfg.StrongBranchK = StrongK;
-        Cfg.Threads = Threads;
-        MipSolution S = solveMip(P, Cfg);
-        ASSERT_TRUE(S.feasible());
-        EXPECT_TRUE(S.Proven);
-        EXPECT_NEAR(S.Objective, Reference, 1e-6)
-            << pricingName(Rule) << " pricing, strong-branch " << StrongK
-            << ", " << Threads << " threads";
-        EXPECT_TRUE(P.isFeasible(S.Values));
-        if (Unique)
-          EXPECT_EQ(S.Values, Baseline.Values)
-              << pricingName(Rule) << " pricing, strong-branch " << StrongK
-              << ", " << Threads << " threads";
-        if (StrongK)
-          EXPECT_GE(S.Stats.StrongBranchProbes, S.Stats.StrongBranchSeeds);
-        else
-          EXPECT_EQ(S.Stats.StrongBranchProbes, 0u);
-      }
+  for (Pricing Rule : {Pricing::SteepestEdge, Pricing::Dantzig})
+    for (unsigned Threads : {1u, 4u}) {
+      SolverConfig Cfg;
+      Cfg.PricingRule = Rule;
+      Cfg.Threads = Threads;
+      MipSolution S = solveMip(P, Cfg);
+      ASSERT_TRUE(S.feasible());
+      EXPECT_TRUE(S.Proven);
+      EXPECT_NEAR(S.Objective, Reference, 1e-6)
+          << pricingName(Rule) << " pricing, " << Threads << " threads";
+      EXPECT_TRUE(P.isFeasible(S.Values));
+      if (Unique)
+        EXPECT_EQ(S.Values, Baseline.Values)
+            << pricingName(Rule) << " pricing, " << Threads << " threads";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MipPricingRandomized,

@@ -370,23 +370,12 @@ TEST_P(WarmSolverVsEnumeration, ColdWarmAndChainedMatchExhaustive) {
     Assignment Truth = enumeratorOptimum(MP, K);
     double TruthEnergy = evaluateAssignment(MP, Truth).EnergyMilliJoules;
 
-    // Every node order must land on the enumerator's optimum, cold and
-    // warm alike.
-    for (NodeOrder Order :
-         {NodeOrder::Dfs, NodeOrder::BestBound, NodeOrder::Hybrid}) {
-      SolverConfig Cold;
-      Cold.WarmNodes = false;
-      Cold.Order = Order;
-      Assignment FromCold = solvePlacement(MP, K, Cold);
-      EXPECT_EQ(FromCold, Truth)
-          << "cold solver diverged (" << nodeOrderName(Order) << ")";
-
-      SolverConfig WarmOpts;
-      WarmOpts.Order = Order;
-      Assignment FromWarm = solvePlacement(MP, K, WarmOpts);
-      EXPECT_EQ(FromWarm, Truth)
-          << "warm-noded solver diverged (" << nodeOrderName(Order) << ")";
-    }
+    // Cold and warm nodes alike must land on the enumerator's optimum.
+    SolverConfig Cold;
+    Cold.WarmNodes = false;
+    EXPECT_EQ(solvePlacement(MP, K, Cold), Truth) << "cold solver diverged";
+    EXPECT_EQ(solvePlacement(MP, K, SolverConfig{}), Truth)
+        << "warm-noded solver diverged";
 
     MipSolution Stats;
     Assignment FromChain = Chain.solve(K, {}, &Stats);

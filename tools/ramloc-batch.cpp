@@ -41,22 +41,9 @@
 //                           (incumbent: unless distinct placements tie
 //                           on modelled energy). all/none select or
 //                           clear every layer at once.
-//     --no-cache            deprecated alias: --reuse minus 'cache'
-//     --no-profile-reuse    deprecated alias: --reuse minus 'profile'
-//     --no-solve-reuse      deprecated alias: --reuse minus 'solve'
-//     --no-incumbent-seed   deprecated alias: --reuse minus 'incumbent'
-//     --node-order=ORDER    branch & bound node selection: dfs (default;
-//                           warm-friendliest), best-bound, or hybrid
-//                           (dive until an incumbent exists, then
-//                           best-bound; every order is exact)
 //     --pricing=RULE        simplex pivot pricing: steepest-edge
-//                           (default), dantzig, partial, or bland —
-//                           every rule is exact and report-neutral;
-//                           only the pivot counts move
-//     --strong-branch=K     probe the top-K root branching candidates
-//                           with bounded dual re-solves over the
-//                           --solver-threads pool and seed pseudo-costs
-//                           (exact and report-neutral; 0 = off)
+//                           (default) or dantzig — both are exact and
+//                           report-neutral; only the pivot counts move
 //     --cache-dir=DIR       persistent result + profile cache: load
 //                           before running, append after, so repeated
 //                           runs are incremental
@@ -183,24 +170,11 @@ void usage(std::FILE *Out) {
       "                            all): comma list of cache, profile,\n"
       "                            solve, incumbent, or all/none; layers\n"
       "                            not listed are disabled\n"
-      "  --node-order=dfs|best-bound|hybrid\n"
-      "                            branch & bound node selection policy\n"
       "  --pricing=RULE            simplex pivot pricing: steepest-edge\n"
-      "                            (default; fewest pivots on warm chains),\n"
-      "                            dantzig (textbook baseline), partial\n"
-      "                            (rotating candidate sections on cold\n"
-      "                            passes), or bland (least-index). Every\n"
-      "                            rule is exact: reports are byte-\n"
-      "                            identical, only pivot counts move\n"
-      "  --strong-branch=K         probe the top-K root branching\n"
-      "                            candidates with bounded dual re-solves\n"
-      "                            (fanned over --solver-threads) and seed\n"
-      "                            the pseudo-cost history; exact and\n"
-      "                            report-neutral (0 = off, the default)\n"
-      "  --no-cache                deprecated: --reuse without 'cache'\n"
-      "  --no-profile-reuse        deprecated: --reuse without 'profile'\n"
-      "  --no-solve-reuse          deprecated: --reuse without 'solve'\n"
-      "  --no-incumbent-seed       deprecated: --reuse without 'incumbent'\n"
+      "                            (default; fewest pivots on warm chains)\n"
+      "                            or dantzig (textbook baseline). Both are\n"
+      "                            exact: reports are byte-identical, only\n"
+      "                            pivot counts move\n"
       "\n"
       "persistence and distribution:\n"
       "  --cache-dir=DIR           persistent result/profile/incumbent cache\n"
@@ -439,7 +413,7 @@ int runDiff(const std::vector<std::string> &Files, double ThresholdPct,
 
     // The compared metric set is deliberately closed over *results*.
     // Solver-effort counters (extractions, cold/warm solves, incumbent
-    // seeds, pivot counts) are provenance, not results: a node-order or
+    // seeds, pivot counts) are provenance, not results: a pricing or
     // seeding change legitimately moves them while every measured and
     // modelled quantity stays bit-identical, so they must never be able
     // to report drift — reports carrying a diagnostic "solver" block
@@ -643,39 +617,10 @@ int main(int Argc, char **Argv) {
           N = 1;
       }
       Opts.Base.Solver.Threads = N;
-    } else if (Arg == "--no-cache") {
-      std::fprintf(stderr, "warning: --no-cache is deprecated; use "
-                           "--reuse=profile,solve,incumbent\n");
-      Opts.UseCache = false;
-    } else if (Arg == "--no-profile-reuse") {
-      std::fprintf(stderr, "warning: --no-profile-reuse is deprecated; use "
-                           "--reuse=cache,solve,incumbent\n");
-      Opts.ReuseProfiles = false;
-    } else if (Arg == "--no-solve-reuse") {
-      std::fprintf(stderr, "warning: --no-solve-reuse is deprecated; use "
-                           "--reuse=cache,profile,incumbent\n");
-      Opts.ReuseSolves = false;
-      Opts.Base.Solver.WarmNodes = false;
-    } else if (Arg == "--no-incumbent-seed") {
-      std::fprintf(stderr, "warning: --no-incumbent-seed is deprecated; use "
-                           "--reuse=cache,profile,solve\n");
-      Opts.SeedIncumbents = false;
-    } else if (Arg.rfind("--node-order=", 0) == 0) {
-      if (!nodeOrderFromName(val(13), Opts.Base.Solver.Order)) {
-        std::fprintf(stderr, "error: unknown node order '%s'\n",
-                     val(13).c_str());
-        return 2;
-      }
     } else if (Arg.rfind("--pricing=", 0) == 0) {
       if (!pricingFromName(val(10), Opts.Base.Solver.PricingRule)) {
         std::fprintf(stderr, "error: unknown pricing rule '%s'\n",
                      val(10).c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("--strong-branch=", 0) == 0) {
-      if (!parseUnsigned(val(16), Opts.Base.Solver.StrongBranchK)) {
-        std::fprintf(stderr, "error: bad --strong-branch value '%s'\n",
-                     val(16).c_str());
         return 2;
       }
     } else if (Arg.rfind("--time-limit-ms=", 0) == 0) {
@@ -996,16 +941,15 @@ int main(int Argc, char **Argv) {
     // into recosts wherever the images match.
     if (Opts.ReuseProfiles)
       Opts.Profiles = &Store.profiles();
-    // Incumbents always collect (offers keep the store fresh);
-    // --no-incumbent-seed only stops them opening new searches.
+    // Incumbents always collect (offers keep the store fresh); --reuse
+    // without 'incumbent' only stops them opening new searches.
     Opts.Incumbents = &Store.incumbents();
 
     // Progress journal: every finished job is appended as it completes,
     // so a kill loses at most one torn line. The config token pins the
     // solver limits (they change results) but not --jobs,
-    // --solver-threads, --pricing or --strong-branch — reports are
-    // byte-identical across those, so a resume may use different
-    // parallelism or pricing.
+    // --solver-threads or --pricing — reports are byte-identical across
+    // those, so a resume may use different parallelism or pricing.
     std::string ConfigToken = formatString(
         "limits:t%u:n%llu:p%llu", Opts.Base.Solver.TimeLimitMs,
         static_cast<unsigned long long>(Opts.Base.Solver.NodeLimit),
